@@ -47,12 +47,17 @@ func LinearLSQ(xs, ys []float64, basis func(float64) []float64, nParams int) ([]
 	for j := 0; j < nParams; j++ {
 		ata[j][j] += ridge
 	}
-	return solveLinear(ata, aty)
+	p := make([]float64, nParams)
+	if err := solveLinear(ata, aty, p); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// solveLinear solves the square system m x = b in place by Gaussian
-// elimination with partial pivoting. m and b are clobbered.
-func solveLinear(m [][]float64, b []float64) ([]float64, error) {
+// solveLinear solves the square system m x = b by Gaussian elimination with
+// partial pivoting, writing the solution into x (len(b) long). m and b are
+// clobbered, and m's rows may be permuted; on error x holds garbage.
+func solveLinear(m [][]float64, b, x []float64) error {
 	n := len(b)
 	for col := 0; col < n; col++ {
 		// Pivot: largest absolute value in this column at or below the
@@ -66,7 +71,7 @@ func solveLinear(m [][]float64, b []float64) ([]float64, error) {
 			}
 		}
 		if maxAbs == 0 || math.IsNaN(maxAbs) {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if pivot != col {
 			m[col], m[pivot] = m[pivot], m[col]
@@ -84,7 +89,6 @@ func solveLinear(m [][]float64, b []float64) ([]float64, error) {
 			b[r] -= f * b[col]
 		}
 	}
-	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		sum := b[r]
 		for c := r + 1; c < n; c++ {
@@ -92,8 +96,8 @@ func solveLinear(m [][]float64, b []float64) ([]float64, error) {
 		}
 		x[r] = sum / m[r][r]
 		if math.IsNaN(x[r]) || math.IsInf(x[r], 0) {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 	}
-	return x, nil
+	return nil
 }

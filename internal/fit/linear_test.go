@@ -86,7 +86,7 @@ func TestLinearLSQBadInput(t *testing.T) {
 func TestSolveLinearSingular(t *testing.T) {
 	m := [][]float64{{1, 1}, {1, 1}}
 	b := []float64{1, 2}
-	if _, err := solveLinear(m, b); err == nil {
+	if err := solveLinear(m, b, make([]float64, 2)); err == nil {
 		t.Error("singular system should error")
 	}
 }

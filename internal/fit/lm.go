@@ -22,6 +22,58 @@ func defaultLMOptions() lmOptions {
 	}
 }
 
+// lmWorkspace holds every buffer one LevenbergMarquardt call uses, carved
+// from two allocations so that the iterations themselves allocate nothing.
+type lmWorkspace struct {
+	p, trial []float64 // current and trial parameters (n)
+	r, tr    []float64 // residuals at p and at trial (m)
+	jac      []float64 // forward-difference Jacobian, row-major m×n
+	jtjFlat  []float64 // backing store of jtj, zeroed every iteration
+	jtj, a   [][]float64
+	jtr      []float64 // Jᵀr (n)
+	b, delta []float64 // right-hand side and solution of the damped system (n)
+}
+
+func newLMWorkspace(m, n int) lmWorkspace {
+	buf := make([]float64, 5*n+2*m+m*n+2*n*n)
+	take := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	w := lmWorkspace{
+		p: take(n), trial: take(n),
+		r: take(m), tr: take(m),
+		jac:     take(m * n),
+		jtjFlat: take(n * n),
+		jtr:     take(n), b: take(n), delta: take(n),
+	}
+	rows := make([][]float64, 2*n)
+	w.jtj, w.a = rows[:n:n], rows[n:]
+	aFlat := take(n * n)
+	for j := 0; j < n; j++ {
+		w.jtj[j] = w.jtjFlat[j*n : (j+1)*n : (j+1)*n]
+		w.a[j] = aFlat[j*n : (j+1)*n : (j+1)*n]
+	}
+	return w
+}
+
+// lmResiduals fills r with f(p, xs[i]) - ys[i] and returns the sum of
+// squares. It reports false, with an infinite sum, as soon as f produces a
+// NaN or an infinity.
+func lmResiduals(f func(p []float64, x float64) float64, xs, ys, p, r []float64) (float64, bool) {
+	chi := 0.0
+	for i := range xs {
+		v := f(p, xs[i])
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return math.Inf(1), false
+		}
+		r[i] = v - ys[i]
+		chi += r[i] * r[i]
+	}
+	return chi, true
+}
+
 // LevenbergMarquardt minimizes sum_i (f(p, xs[i]) - ys[i])^2 over p starting
 // from start, returning the refined parameters and the final sum of squared
 // residuals. The Jacobian is computed by forward differences. The
@@ -30,33 +82,17 @@ func defaultLMOptions() lmOptions {
 // success and growing it on failure.
 func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []float64) ([]float64, float64) {
 	opt := defaultLMOptions()
-	n := len(start)
-	p := append([]float64(nil), start...)
+	m, n := len(xs), len(start)
+	w := newLMWorkspace(m, n)
+	p, trial, r, tr := w.p, w.trial, w.r, w.tr
+	jac, jtj, jtr := w.jac, w.jtj, w.jtr
+	copy(p, start)
 
-	residuals := func(p []float64) ([]float64, float64) {
-		r := make([]float64, len(xs))
-		chi := 0.0
-		for i := range xs {
-			v := f(p, xs[i])
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, math.Inf(1)
-			}
-			r[i] = v - ys[i]
-			chi += r[i] * r[i]
-		}
-		return r, chi
-	}
-
-	r, chi := residuals(p)
-	if r == nil {
+	chi, ok := lmResiduals(f, xs, ys, p, r)
+	if !ok {
 		return p, chi
 	}
 	lambda := opt.InitDamp
-
-	jac := make([][]float64, len(xs))
-	for i := range jac {
-		jac[i] = make([]float64, n)
-	}
 
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		// Forward-difference Jacobian.
@@ -71,7 +107,7 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 					bad = true
 					break
 				}
-				jac[i][j] = (v - ys[i] - r[i]) / h
+				jac[i*n+j] = (v - ys[i] - r[i]) / h
 			}
 			p[j] = pj
 			if bad {
@@ -84,7 +120,7 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 						ok = false
 						break
 					}
-					jac[i][j] = (r[i] - (v - ys[i])) / h
+					jac[i*n+j] = (r[i] - (v - ys[i])) / h
 				}
 				p[j] = pj
 				if !ok {
@@ -94,16 +130,14 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 		}
 
 		// Build JᵀJ and Jᵀr.
-		jtj := make([][]float64, n)
-		for j := range jtj {
-			jtj[j] = make([]float64, n)
-		}
-		jtr := make([]float64, n)
+		clear(w.jtjFlat)
+		clear(jtr)
 		for i := range xs {
+			row := jac[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
-				jtr[j] += jac[i][j] * r[i]
+				jtr[j] += row[j] * r[i]
 				for k := j; k < n; k++ {
-					jtj[j][k] += jac[i][j] * jac[i][k]
+					jtj[j][k] += row[j] * row[k]
 				}
 			}
 		}
@@ -123,11 +157,12 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 
 		improved := false
 		for attempt := 0; attempt < 12; attempt++ {
-			// Damped system: (JᵀJ + λ diag(JᵀJ) + εI) δ = -Jᵀr.
-			a := make([][]float64, n)
-			b := make([]float64, n)
+			// Damped system: (JᵀJ + λ diag(JᵀJ) + εI) δ = -Jᵀr. solveLinear
+			// clobbers a and b and may permute a's rows, so both are rebuilt
+			// in full on every attempt.
+			a, b, delta := w.a, w.b, w.delta
 			for j := 0; j < n; j++ {
-				a[j] = append([]float64(nil), jtj[j]...)
+				copy(a[j], jtj[j])
 				d := jtj[j][j]
 				if d == 0 {
 					d = 1e-12
@@ -135,21 +170,21 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 				a[j][j] += lambda*d + 1e-15
 				b[j] = -jtr[j]
 			}
-			delta, err := solveLinear(a, b)
-			if err != nil {
+			if err := solveLinear(a, b, delta); err != nil {
 				lambda *= 10
 				continue
 			}
-			trial := make([]float64, n)
 			stepNorm := 0.0
 			for j := 0; j < n; j++ {
 				trial[j] = p[j] + delta[j]
 				stepNorm += delta[j] * delta[j]
 			}
-			tr, tchi := residuals(trial)
-			if tr != nil && tchi < chi {
+			tchi, ok := lmResiduals(f, xs, ys, trial, tr)
+			if ok && tchi < chi {
 				relDrop := (chi - tchi) / (chi + 1e-300)
-				p, r, chi = trial, tr, tchi
+				p, trial = trial, p
+				r, tr = tr, r
+				chi = tchi
 				lambda = math.Max(lambda*0.3, 1e-12)
 				improved = true
 				if math.Sqrt(stepNorm) < opt.TolStep || relDrop < opt.TolChiRel {
