@@ -164,13 +164,7 @@ func CandidateFits(xs, ys []float64, opt Options) ([]*Fit, error) {
 		}
 	}
 	cpX, cpY := xs[m-c:], ys[m-c:]
-
-	maxAbsY := 0.0
-	for _, y := range ys {
-		if a := math.Abs(y); a > maxAbsY {
-			maxAbsY = a
-		}
-	}
+	bounds := newRealismBounds(xs, ys, opt)
 
 	var cands []*Fit
 	for _, kern := range opt.Kernels {
@@ -180,10 +174,10 @@ func CandidateFits(xs, ys []float64, opt Options) ([]*Fit, error) {
 				continue
 			}
 			f.PrefixLen = plen
-			if !realistic(f, xs[0], opt, maxAbsY) {
+			if !realistic(f, opt, bounds) {
 				continue
 			}
-			if opt.TailSlopeCap > 0 && !tailGrowthOK(f, xs, ys, opt) {
+			if !tailGrowthOK(f, opt, bounds) {
 				continue
 			}
 			// The candidate must also describe the measurements it saw.
@@ -281,18 +275,67 @@ func fitOneSeeded(kern *Kernel, xs, ys, seed []float64) *Fit {
 	return &Fit{Kernel: kern, Params: bestP, YScale: yscale}
 }
 
+// realismBounds holds what the realism filters need of the measured series.
+// None of it depends on the candidate, so CandidateFits computes it once.
+type realismBounds struct {
+	// grid samples (min(1, xs[0]), MaxX] for realistic.
+	grid []float64
+	// maxAbsY is the largest observed magnitude.
+	maxAbsY float64
+	// tail reports whether tailGrowthOK has a bound to apply: TailSlopeCap
+	// is set, the window has at least four points and the tail line solves.
+	tail bool
+	// tailGrid samples [xLast, MaxX]; the bound is a line through
+	// (xLast, yLast) of slope TailSlopeCap × slope, raised by slack.
+	tailGrid            []float64
+	xLast, yLast, slope float64
+	slack               float64
+}
+
+// newRealismBounds derives the realism filters' per-series inputs. The tail
+// slope is the least-squares slope of the window's second half (at least its
+// last three points), floored at zero.
+func newRealismBounds(xs, ys []float64, opt Options) realismBounds {
+	b := realismBounds{grid: realismGrid(math.Min(1, xs[0]), opt.MaxX)}
+	for _, y := range ys {
+		if a := math.Abs(y); a > b.maxAbsY {
+			b.maxAbsY = a
+		}
+	}
+	m := len(xs)
+	if opt.TailSlopeCap <= 0 || m < 4 {
+		return b
+	}
+	tailStart := m / 2
+	if m-tailStart < 3 {
+		tailStart = m - 3
+	}
+	lineBasis := func(x float64) []float64 { return []float64{1, x} }
+	p, err := LinearLSQ(xs[tailStart:], ys[tailStart:], lineBasis, 2)
+	if err != nil {
+		return b
+	}
+	b.tail = true
+	b.xLast, b.yLast = xs[m-1], ys[m-1]
+	b.slope = p[1]
+	if b.slope < 0 {
+		b.slope = 0
+	}
+	b.slack = 0.15 * b.maxAbsY
+	b.tailGrid = realismGrid(b.xLast, opt.MaxX)
+	return b
+}
+
 // realistic applies the paper's "discard functions that are not realistic"
 // filter: the candidate must be finite over (0, MaxX], must not have a pole
 // in range, must not go (materially) negative when the quantity is a count
 // or a time, and must not explode past MaxGrowth × the observed magnitude.
-func realistic(f *Fit, minX float64, opt Options, maxAbsY float64) bool {
-	lo := math.Min(1, minX)
-	grid := realismGrid(lo, opt.MaxX)
-	negTol := -0.02 * maxAbsY
-	limit := opt.MaxGrowth * (maxAbsY + 1e-12)
+func realistic(f *Fit, opt Options, b realismBounds) bool {
+	negTol := -0.02 * b.maxAbsY
+	limit := opt.MaxGrowth * (b.maxAbsY + 1e-12)
 
 	denSign := 0.0
-	for _, x := range grid {
+	for _, x := range b.grid {
 		if f.Kernel.Denominator != nil {
 			d := f.Kernel.Denominator(f.Params, x)
 			if d == 0 || math.IsNaN(d) {
@@ -326,34 +369,12 @@ func realistic(f *Fit, minX float64, opt Options, maxAbsY float64) bool {
 // noisy category licenses almost no growth, while an accelerating one
 // licenses plenty. The whole measured window, not just the candidate's
 // fitting prefix, anchors the bound.
-func tailGrowthOK(f *Fit, xs, ys []float64, opt Options) bool {
-	m := len(xs)
-	if m < 4 {
+func tailGrowthOK(f *Fit, opt Options, b realismBounds) bool {
+	if !b.tail {
 		return true
 	}
-	xLast, yLast := xs[m-1], ys[m-1]
-	tailStart := m / 2
-	if m-tailStart < 3 {
-		tailStart = m - 3
-	}
-	lineBasis := func(x float64) []float64 { return []float64{1, x} }
-	p, err := LinearLSQ(xs[tailStart:], ys[tailStart:], lineBasis, 2)
-	if err != nil {
-		return true
-	}
-	slope := p[1]
-	if slope < 0 {
-		slope = 0
-	}
-	maxAbsY := 0.0
-	for _, y := range ys {
-		if a := math.Abs(y); a > maxAbsY {
-			maxAbsY = a
-		}
-	}
-	slack := 0.15 * maxAbsY
-	for _, x := range realismGrid(xLast, opt.MaxX) {
-		limit := yLast + opt.TailSlopeCap*slope*(x-xLast) + slack
+	for _, x := range b.tailGrid {
+		limit := b.yLast + opt.TailSlopeCap*b.slope*(x-b.xLast) + b.slack
 		if f.Eval(x) > limit {
 			return false
 		}
