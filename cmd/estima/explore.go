@@ -29,7 +29,7 @@ func cmdExplore(ctx context.Context, args []string) error {
 	boot := fs.Int("boot", 0, "residual-bootstrap resamples per cell (default 25; bands are the acquisition signal, so 0 keeps the default)")
 	ci := fs.Float64("ci", 0, "two-sided confidence level (%) of the bands (default 90)")
 	seed := fs.Int64("seed", 0, "bootstrap seed (0 = default stream)")
-	workers := fs.Int("workers", 0, "parallel cells per round (default: NumCPU)")
+	workers := fs.Int("workers", 0, "parallel cells per round (default: GOMAXPROCS)")
 	format := fs.String("format", "table", "output format: table or json")
 	cacheDir := fs.String("cache", "", "measurement store directory, reused across runs")
 	if err := parseFlags(fs, args); err != nil {

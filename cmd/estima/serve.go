@@ -32,7 +32,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	fs := newFlagSet("serve")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	cacheDir := fs.String("cache", "", "measurement store directory shared by every request")
-	workers := fs.Int("workers", 0, "simulation worker bound (default: NumCPU)")
+	workers := fs.Int("workers", 0, "simulation worker bound (default: GOMAXPROCS)")
 	maxInFlight := fs.Int("max-inflight", 0, "concurrent /v1/* requests before queueing (default: 2x NumCPU)")
 	maxQueue := fs.Int("max-queue", 0, "queued requests beyond the in-flight bound before 429 (default: 4x max-inflight; negative: no queue)")
 	worker := fs.Bool("worker", false, "run as a shard worker behind a coordinator")

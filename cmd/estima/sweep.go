@@ -26,7 +26,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	measCores := fs.Int("meascores", 0, "cores to measure on (default: one processor of each machine)")
 	scale := fs.Float64("scale", 1, "dataset scale factor")
 	soft := fs.Bool("soft", false, "use software stalled cycles")
-	workers := fs.Int("workers", 0, "worker pool size (default: NumCPU)")
+	workers := fs.Int("workers", 0, "worker pool size (default: GOMAXPROCS)")
 	format := fs.String("format", "table", "output format: table, csv, json or ndjson (streamed)")
 	cacheDir := fs.String("cache", "", "measurement store directory, reused across runs")
 	boot := fs.Int("boot", 0, "residual-bootstrap resamples for confidence bands (0 = off)")

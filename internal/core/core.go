@@ -52,7 +52,8 @@ type Options struct {
 	// stall values are scaled by it before the time correlation. 0 means 1.
 	DatasetScale float64
 	// Workers bounds the worker pool the pipeline stages fan out over
-	// (per-category fitting, bootstrap replicates). 0 means NumCPU.
+	// (per-category fitting, bootstrap replicates). 0 means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Gate, when non-nil, is a shared counting semaphore (a buffered
 	// channel) acquired around every unit of pool work — one category fit,

@@ -36,12 +36,12 @@ func NewPipeline(opt Options) *Pipeline {
 	return &Pipeline{opt: opt}
 }
 
-// workers bounds the stage fan-out: Options.Workers (default NumCPU),
-// never more than the number of independent work items.
+// workers bounds the stage fan-out: Options.Workers (default
+// GOMAXPROCS), never more than the number of independent work items.
 func (pl *Pipeline) workers(items int) int {
 	w := pl.opt.Workers
 	if w <= 0 {
-		w = runtime.NumCPU()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if w > items {
 		w = items

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,6 +14,18 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
+
+// The pipeline's default pool follows GOMAXPROCS, like sim.CollectSeries
+// and internal/pool, not the host's CPU count.
+func TestWorkersDefaultToGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := NewPipeline(Options{}).workers(8); got != 1 {
+		t.Errorf("workers(8) under GOMAXPROCS=1 = %d, want 1", got)
+	}
+	if got := NewPipeline(Options{Workers: 3}).workers(8); got != 3 {
+		t.Errorf("explicit Workers: workers(8) = %d, want 3", got)
+	}
+}
 
 func TestTargetsSortsAndDeduplicates(t *testing.T) {
 	got, err := Targets([]int{24, 24, 48, 1, 24, 1})

@@ -29,7 +29,7 @@ import (
 type Config struct {
 	// Scale shrinks the datasets (1 = paper-like runs; tests use less).
 	Scale float64
-	// Workers bounds concurrent simulations; 0 means NumCPU.
+	// Workers bounds concurrent simulations; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// CacheDir, when set, persists collected series in an internal/store
 	// cache there, so repeated experiment and bench runs across processes
@@ -42,7 +42,7 @@ func (c Config) withDefaults() Config {
 		c.Scale = 1
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }

@@ -49,7 +49,7 @@ func uncertainty(e *env) (*Result, error) {
 		targets := coresFrom(12, m.NumCores())
 		// The service CPU gate bounds the fitting and bootstrap work;
 		// Workers: 1 keeps each prediction from opening a second
-		// NumCPU-wide pool inside it.
+		// GOMAXPROCS-wide pool inside it.
 		pred, err := e.predict(name, m, 12, 1, targets, core.Options{
 			UseSoftware: usesSoftwareStalls(name),
 			Bootstrap:   uncertaintyBoot,

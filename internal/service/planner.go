@@ -390,8 +390,8 @@ func (s *Service) planSweep(req SweepRequest) (*sweepPlan, error) {
 				measCores = m.OneProcessorCores()
 			}
 			// Workers: 1 — parallelism lives at the cell level; letting every
-			// concurrent cell open its own NumCPU-wide fitting pool would
-			// oversubscribe the machine by workers × NumCPU. The service gate
+			// concurrent cell open its own GOMAXPROCS-wide fitting pool would
+			// oversubscribe the machine by workers × GOMAXPROCS. The service gate
 			// additionally bounds total fitting work across in-flight
 			// requests.
 			cell := planCell{

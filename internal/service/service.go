@@ -23,7 +23,8 @@ type Config struct {
 	CacheDir string
 	// Workers bounds concurrent simulations service-wide and is the default
 	// worker count of each prediction's fitting/bootstrap pools. 0 means
-	// NumCPU.
+	// runtime.GOMAXPROCS(0), the bound sim.CollectSeries and internal/pool
+	// use too.
 	Workers int
 	// CollectSample overrides the per-sample measurement collector (tests
 	// stub it; a future perf-based backend plugs in here). nil means
@@ -87,7 +88,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, badRequest("service: negative worker count %d", cfg.Workers)
 	}
 	if cfg.Workers == 0 {
-		cfg.Workers = runtime.NumCPU()
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.CollectSample == nil {
 		cfg.CollectSample = sim.Collect

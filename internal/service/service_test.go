@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,6 +30,16 @@ func newTestService(t *testing.T, cfg Config) *Service {
 		t.Fatal(err)
 	}
 	return svc
+}
+
+// The default simulation semaphore and fitting pool width follow
+// GOMAXPROCS, not the host's CPU count.
+func TestNewDefaultsWorkersToGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	svc := newTestService(t, Config{})
+	if svc.cfg.Workers != 1 || cap(svc.sem) != 1 {
+		t.Errorf("under GOMAXPROCS=1: Workers = %d, semaphore = %d, want 1 and 1", svc.cfg.Workers, cap(svc.sem))
+	}
 }
 
 func TestNewRejectsUnusableCacheDir(t *testing.T) {
