@@ -22,42 +22,6 @@ func defaultLMOptions() lmOptions {
 	}
 }
 
-// lmWorkspace holds every buffer one LevenbergMarquardt call uses, carved
-// from two allocations so that the iterations themselves allocate nothing.
-type lmWorkspace struct {
-	p, trial []float64 // current and trial parameters (n)
-	r, tr    []float64 // residuals at p and at trial (m)
-	jac      []float64 // forward-difference Jacobian, row-major m×n
-	jtjFlat  []float64 // backing store of jtj, zeroed every iteration
-	jtj, a   [][]float64
-	jtr      []float64 // Jᵀr (n)
-	b, delta []float64 // right-hand side and solution of the damped system (n)
-}
-
-func newLMWorkspace(m, n int) lmWorkspace {
-	buf := make([]float64, 5*n+2*m+m*n+2*n*n)
-	take := func(k int) []float64 {
-		s := buf[:k:k]
-		buf = buf[k:]
-		return s
-	}
-	w := lmWorkspace{
-		p: take(n), trial: take(n),
-		r: take(m), tr: take(m),
-		jac:     take(m * n),
-		jtjFlat: take(n * n),
-		jtr:     take(n), b: take(n), delta: take(n),
-	}
-	rows := make([][]float64, 2*n)
-	w.jtj, w.a = rows[:n:n], rows[n:]
-	aFlat := take(n * n)
-	for j := 0; j < n; j++ {
-		w.jtj[j] = w.jtjFlat[j*n : (j+1)*n : (j+1)*n]
-		w.a[j] = aFlat[j*n : (j+1)*n : (j+1)*n]
-	}
-	return w
-}
-
 // lmResiduals fills r with f(p, xs[i]) - ys[i] and returns the sum of
 // squares. It reports false, with an infinite sum, as soon as f produces a
 // NaN or an infinity.
@@ -83,9 +47,26 @@ func lmResiduals(f func(p []float64, x float64) float64, xs, ys, p, r []float64)
 func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []float64) ([]float64, float64) {
 	opt := defaultLMOptions()
 	m, n := len(xs), len(start)
-	w := newLMWorkspace(m, n)
-	p, trial, r, tr := w.p, w.trial, w.r, w.tr
-	jac, jtj, jtr := w.jac, w.jtj, w.jtr
+
+	// Every buffer comes from two allocations, so the iterations allocate
+	// nothing: the parameters and trial parameters, the residuals at each,
+	// the row-major m×n Jacobian, JᵀJ and its damped copy a (row headers
+	// in rows), Jᵀr, and the damped system's right-hand side b and step.
+	buf := make([]float64, 5*n+2*m+m*n+2*n*n)
+	take := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	p, trial, r, tr := take(n), take(n), take(m), take(m)
+	jac, jtjFlat, aFlat := take(m*n), take(n*n), take(n*n)
+	jtr, b, delta := take(n), take(n), take(n)
+	rows := make([][]float64, 2*n)
+	jtj, a := rows[:n:n], rows[n:]
+	for j := 0; j < n; j++ {
+		jtj[j] = jtjFlat[j*n : (j+1)*n : (j+1)*n]
+		a[j] = aFlat[j*n : (j+1)*n : (j+1)*n]
+	}
 	copy(p, start)
 
 	chi, ok := lmResiduals(f, xs, ys, p, r)
@@ -130,7 +111,7 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 		}
 
 		// Build JᵀJ and Jᵀr.
-		clear(w.jtjFlat)
+		clear(jtjFlat)
 		clear(jtr)
 		for i := range xs {
 			row := jac[i*n : (i+1)*n]
@@ -160,7 +141,6 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 			// Damped system: (JᵀJ + λ diag(JᵀJ) + εI) δ = -Jᵀr. solveLinear
 			// clobbers a and b and may permute a's rows, so both are rebuilt
 			// in full on every attempt.
-			a, b, delta := w.a, w.b, w.delta
 			for j := 0; j < n; j++ {
 				copy(a[j], jtj[j])
 				d := jtj[j][j]
