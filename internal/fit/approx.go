@@ -282,11 +282,10 @@ type realismBounds struct {
 	grid []float64
 	// maxAbsY is the largest observed magnitude.
 	maxAbsY float64
-	// tail reports whether tailGrowthOK has a bound to apply: TailSlopeCap
-	// is set, the window has at least four points and the tail line solves.
-	tail bool
 	// tailGrid samples [xLast, MaxX]; the bound is a line through
-	// (xLast, yLast) of slope TailSlopeCap × slope, raised by slack.
+	// (xLast, yLast) of slope TailSlopeCap × slope, raised by slack. It is
+	// empty, and tailGrowthOK passes every candidate, unless TailSlopeCap is
+	// set, the window has at least four points and the tail line solves.
 	tailGrid            []float64
 	xLast, yLast, slope float64
 	slack               float64
@@ -315,7 +314,6 @@ func newRealismBounds(xs, ys []float64, opt Options) realismBounds {
 	if err != nil {
 		return b
 	}
-	b.tail = true
 	b.xLast, b.yLast = xs[m-1], ys[m-1]
 	b.slope = p[1]
 	if b.slope < 0 {
@@ -370,9 +368,6 @@ func realistic(f *Fit, opt Options, b realismBounds) bool {
 // licenses plenty. The whole measured window, not just the candidate's
 // fitting prefix, anchors the bound.
 func tailGrowthOK(f *Fit, opt Options, b realismBounds) bool {
-	if !b.tail {
-		return true
-	}
 	for _, x := range b.tailGrid {
 		limit := b.yLast + opt.TailSlopeCap*b.slope*(x-b.xLast) + b.slack
 		if f.Eval(x) > limit {
