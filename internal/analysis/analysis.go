@@ -12,8 +12,8 @@
 //
 //	//estima:timing [reason]
 //	    Package-level opt-out for timing-measurement packages: the package's
-//	    whole job is to read wall clocks (perfcol, syncprof, timex, stm,
-//	    estima-bench), so the determinism analyzer skips it. The directive
+//	    whole job is to read wall clocks (timex, stm, estima-bench), so the
+//	    determinism analyzer skips it. The directive
 //	    may appear in any file-level comment of the package.
 //
 //	//estima:allow <analyzer> [reason]

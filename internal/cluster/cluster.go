@@ -10,8 +10,8 @@
 // identical plan order), fanned out one cell per worker request, and merged
 // plan-index-order-stable, so coordinator responses are byte-identical to
 // single-process ones; the conformance suite locks that. Overlapping
-// requests from different clients coalesce in an in-flight registry
-// (flights.go) before they ever reach a worker. Workers that fail probes or
+// requests from different clients coalesce in internal/flight groups
+// before they ever reach a worker. Workers that fail probes or
 // requests are routed around via the ring's successor order, with the
 // coordinator's own embedded Service as the last resort — degraded service
 // is cold and slower but never wrong, because every result is
@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/cluster/ring"
+	"repro/internal/flight"
 	"repro/internal/machine"
 	"repro/internal/service"
 	"repro/internal/workloads"
@@ -83,9 +84,11 @@ type Coordinator struct {
 	// relayFlights coalesces identical relayed requests (key: path + raw
 	// body); cellFlights coalesces sweep cells by fit identity (key:
 	// PlannedCell.FitKey), which also catches *overlapping* grids whose
-	// bodies differ.
-	relayFlights *flights[relayResult]
-	cellFlights  *flights[service.SweepCell]
+	// bodies differ. Neither retains results: the workers' store, series
+	// memo and fit memo are the durable layers, so these hold exactly the
+	// currently running requests.
+	relayFlights *flight.Group[string, relayResult]
+	cellFlights  *flight.Group[string, service.SweepCell]
 
 	stop context.CancelFunc
 	wg   sync.WaitGroup
@@ -113,8 +116,8 @@ func New(cfg Config) (*Coordinator, error) {
 		workers:      make([]string, len(cfg.Workers)),
 		healthy:      make([]atomic.Bool, len(cfg.Workers)),
 		client:       cfg.Client,
-		relayFlights: newFlights[relayResult](),
-		cellFlights:  newFlights[service.SweepCell](),
+		relayFlights: flight.New[string, relayResult](0),
+		cellFlights:  flight.New[string, service.SweepCell](0),
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
@@ -363,7 +366,7 @@ func (c *Coordinator) relayHandler(path string, local http.Handler) http.Handler
 			local.ServeHTTP(w, r)
 			return
 		}
-		res, err := c.relayFlights.do(r.Context(), path+"\x00"+string(body),
+		res, err := c.relayFlights.Do(r.Context(), path+"\x00"+string(body),
 			func(ctx context.Context) (relayResult, error) {
 				return c.relay(ctx, path, key, body)
 			})

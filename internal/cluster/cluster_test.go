@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -136,7 +138,7 @@ func TestCoalescingSharesOneFlight(t *testing.T) {
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, hits := f.coord.relayFlights.stats(); hits >= 1 {
+		if _, hits := f.coord.relayFlights.Stats(); hits >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -157,7 +159,7 @@ func TestCoalescingSharesOneFlight(t *testing.T) {
 	if workerRequests != 1 {
 		t.Errorf("fleet served %d /v1/* requests for two identical clients, want 1", workerRequests)
 	}
-	started2, hits := f.coord.relayFlights.stats()
+	started2, hits := f.coord.relayFlights.Stats()
 	if started2 != 1 || hits != 1 {
 		t.Errorf("relay flights started=%d hits=%d, want 1/1", started2, hits)
 	}
@@ -230,7 +232,7 @@ func TestOverlappingSweepsShareCells(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, hits := f.coord.cellFlights.stats(); hits >= 1 {
+		if _, hits := f.coord.cellFlights.Stats(); hits >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -252,8 +254,94 @@ func TestOverlappingSweepsShareCells(t *testing.T) {
 	if !bytes.Equal(ab, bb) {
 		t.Errorf("shared cell differs between overlapping sweeps:\n%s\n%s", ab, bb)
 	}
-	cellsStarted, cellHits := f.coord.cellFlights.stats()
+	cellsStarted, cellHits := f.coord.cellFlights.Stats()
 	if cellHits < 1 {
 		t.Errorf("cell flights started=%d hits=%d, want at least one shared hit", cellsStarted, cellHits)
+	}
+}
+
+// roundTripFunc is a stub http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestAbandonedCellFlightIsNotInherited: a sweep whose requester hung up
+// abandons its cell flight while the worker request is still outstanding.
+// A later sweep of the same cell with a live context must run it afresh,
+// never return the abandoned flight's "context canceled" as its cell.
+func TestAbandonedCellFlightIsNotInherited(t *testing.T) {
+	worker, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := service.NewHandler(worker, service.ServerConfig{Mode: "worker"})
+	release := make(chan struct{})
+	entered := make(chan struct{}, 2) // one per flight this test starts
+	// The stub worker holds every request until released, then answers as
+	// a real transport would: with the request's own context error when
+	// its caller has gone, else with the worker's response.
+	stub := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		entered <- struct{}{}
+		<-release
+		if err := r.Context().Err(); err != nil {
+			return nil, err
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		return rec.Result(), nil
+	})
+	local, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := New(Config{Workers: []string{"stub:1"}, Local: local,
+		Client: &http.Client{Transport: stub}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	req := service.SweepRequest{Workloads: []string{"intruder"}, Machines: []string{"Haswell"}, Scale: 0.05}
+
+	ctxA, cancelA := context.WithCancel(bg)
+	errA := make(chan error, 1)
+	go func() {
+		_, err := coord.Sweep(ctxA, req)
+		errA <- err
+	}()
+	<-entered
+	cancelA()
+	if err := <-errA; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned sweep returned %v, want context.Canceled", err)
+	}
+
+	respB := make(chan *service.SweepResponse, 1)
+	go func() {
+		resp, err := coord.Sweep(bg, req)
+		if err != nil {
+			t.Error(err)
+		}
+		respB <- resp
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if started, hits := coord.cellFlights.Stats(); started+hits >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("live sweep never reached the cell flights")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	b := <-respB
+	if b == nil {
+		t.Fatal("live sweep failed")
+	}
+	if len(b.Cells) != 1 || b.Cells[0].Error != "" || b.Failures != 0 {
+		t.Fatalf("live sweep cells %+v, want one successful cell", b.Cells)
+	}
+	if started, hits := coord.cellFlights.Stats(); started != 2 || hits != 0 {
+		t.Errorf("cell flights started=%d hits=%d, want a fresh execution (2/0)", started, hits)
 	}
 }

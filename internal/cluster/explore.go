@@ -26,7 +26,7 @@ func (c *Coordinator) runExploreBatch(ctx context.Context, jobs []service.Explor
 	out := make([]service.SweepCell, len(jobs))
 	pool.ForN(len(jobs), workers, func(i int) {
 		job := jobs[i]
-		cell, err := c.cellFlights.do(ctx, job.FitKey, func(fctx context.Context) (service.SweepCell, error) {
+		cell, err := c.cellFlights.Do(ctx, job.FitKey, func(fctx context.Context) (service.SweepCell, error) {
 			return c.executeCell(fctx, job.Req, job.RouteKey)
 		})
 		if err != nil {

@@ -105,8 +105,8 @@ func (c *Coordinator) Ready(ctx context.Context, gate *service.Gate) *service.Re
 		}
 		workerInfo[i] = wr
 	})
-	relayStarted, relayHits := c.relayFlights.stats()
-	cellStarted, cellHits := c.cellFlights.stats()
+	relayStarted, relayHits := c.relayFlights.Stats()
+	cellStarted, cellHits := c.cellFlights.Stats()
 	return &service.ReadyResponse{
 		APIVersion: service.APIVersion,
 		Status:     "ok",

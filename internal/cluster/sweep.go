@@ -124,7 +124,7 @@ func (c *Coordinator) runCell(ctx context.Context, req service.SweepRequest, pc 
 		CILevel:   req.CILevel,
 		Seed:      req.Seed,
 	}
-	cell, err := c.cellFlights.do(ctx, pc.FitKey, func(fctx context.Context) (service.SweepCell, error) {
+	cell, err := c.cellFlights.Do(ctx, pc.FitKey, func(fctx context.Context) (service.SweepCell, error) {
 		return c.executeCell(fctx, cellReq, pc.RouteKey)
 	})
 	if err != nil {

@@ -47,36 +47,19 @@ func expandGrid(entry string) ([]string, error) {
 	return out, nil
 }
 
-// DefaultFitCacheSize bounds the fitted-model memo when Config.FitCacheSize
-// is zero. An artifact is a few fitted functions plus the evaluated curves
-// — small next to the series it came from — so the default comfortably
-// covers the full workload × machine preset matrix at several option sets.
-const DefaultFitCacheSize = 256
-
 // maxSweepCells bounds one sweep's workload × machine matrix. Grids make
 // huge matrices cheap to *request* (spec.MaxGridInstances bounds each
 // entry, but entries multiply), so the aggregate is capped before any cell
 // is materialized.
 const maxSweepCells = 16384
 
-// fitEntry is one slot of the fitted-model memo. Like the series memo's
-// memoEntry, the computation runs detached from any single requester: the
-// entry is shared by every concurrent request for the same artifact, and
-// only the last waiter to give up cancels the work.
-type fitEntry struct {
-	// done is closed when the fit goroutine finishes; pred, seriesHit and
-	// err are immutable afterwards (happens-before via the close).
-	done chan struct{}
-	pred *core.Prediction
-	// seriesHit records whether the artifact's measurement series was
-	// replayed (store or memo) rather than simulated — the value every
-	// requester reports, so repeated requests answer identically.
+// fitted is one fitted-model memo entry: the prediction, and whether its
+// measurement series was replayed (store or memo) rather than simulated —
+// the value every requester reports, so repeated requests answer
+// identically.
+type fitted struct {
+	pred      *core.Prediction
 	seriesHit bool
-	err       error
-	// waiters and cancel are guarded by s.fitMu; the last waiter to abandon
-	// an unfinished fit cancels it.
-	waiters int
-	cancel  context.CancelFunc
 }
 
 // optionsFingerprint is the canonical form of every core.Options field that
@@ -135,7 +118,7 @@ func artifactKey(sk store.Key, targets []int, opt core.Options) string {
 // fitted-model memo (completed entries and collapsed in-flight duplicates
 // alike). Benchmarks and tests read the deltas around a sweep.
 func (s *Service) FitCacheStats() (computed, memoHits int64) {
-	return s.fitsComputed.Load(), s.fitMemoHits.Load()
+	return s.fits.Stats()
 }
 
 // Predicted is the planner's in-process entry point, shared by Predict,
@@ -151,110 +134,35 @@ func (s *Service) Predicted(ctx context.Context, w sim.Workload, m *machine.Conf
 }
 
 func (s *Service) predicted(ctx context.Context, w sim.Workload, m *machine.Config, measCores int, scale float64, targets []int, opt core.Options) (*core.Prediction, bool, error) {
-	if opt.Kernels != nil || s.fits == nil {
-		// Uncacheable options (or a disabled memo) still share the
-		// measurement layer and the service CPU gate.
+	opt.Gate = s.sem
+	if opt.Kernels != nil {
+		// Uncacheable options still share the measurement layer and the
+		// service CPU gate.
 		ser, hit, err := s.series(ctx, w, m, measCores, scale)
 		if err != nil {
 			return nil, hit, err
 		}
-		opt.Gate = s.sem
 		pred, err := core.PredictContext(ctx, ser, targets, opt)
 		return pred, hit, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
 	key := artifactKey(seriesKey(w.Name(), m.Name, measCores, scale), targets, opt)
-
-	s.fitMu.Lock()
-	ent, ok := s.fits.Get(key)
-	if !ok {
-		// Detach the fit from the requester: it must survive this caller's
-		// cancellation for any concurrent duplicate's sake.
-		cctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-		ent = &fitEntry{done: make(chan struct{}), cancel: cancel}
-		s.fits.Put(key, ent)
-		s.evictFitsLocked()
-		hook := s.fitHook
-		go func() {
-			defer close(ent.done)
-			defer cancel()
-			s.fitsComputed.Add(1)
-			if hook != nil {
-				hook(key)
-			}
-			ser, hit, err := s.series(cctx, w, m, measCores, scale)
-			ent.seriesHit = hit
-			if err != nil {
-				ent.err = err
-				return
-			}
-			o := opt
-			o.Gate = s.sem
-			pl := core.NewPipeline(o)
-			art, err := pl.Fit(cctx, ser, targets)
-			if err != nil {
-				ent.err = err
-				return
-			}
-			ent.pred, ent.err = pl.Finish(cctx, art)
-		}()
-	} else {
-		s.fitMemoHits.Add(1)
-	}
-	ent.waiters++
-	s.fitMu.Unlock()
-
-	select {
-	case <-ent.done:
-		s.fitMu.Lock()
-		ent.waiters--
-		if ent.err != nil {
-			// A failed fit must not poison the memo: drop the entry so the
-			// next request retries.
-			if cur, ok := s.fits.Peek(key); ok && cur == ent {
-				s.fits.Remove(key)
-			}
+	res, err := s.fits.Do(ctx, key, func(ctx context.Context) (fitted, error) {
+		if s.fitHook != nil {
+			s.fitHook(key)
 		}
-		s.fitMu.Unlock()
-		return ent.pred, ent.seriesHit, ent.err
-	case <-ctx.Done():
-		s.fitMu.Lock()
-		ent.waiters--
-		if ent.waiters == 0 {
-			select {
-			case <-ent.done: // finished anyway; keep the artifact cached
-			default:
-				ent.cancel()
-				if cur, ok := s.fits.Peek(key); ok && cur == ent {
-					s.fits.Remove(key)
-				}
-			}
+		ser, hit, err := s.series(ctx, w, m, measCores, scale)
+		if err != nil {
+			return fitted{seriesHit: hit}, err
 		}
-		s.fitMu.Unlock()
-		return nil, false, ctx.Err()
-	}
-}
-
-// evictFitsLocked (called under s.fitMu) drops completed, waiter-less
-// artifacts in least-recently-used order until the memo is back under its
-// bound. In-flight fits and entries with waiters are never evicted; if only
-// those remain the memo temporarily exceeds the bound.
-func (s *Service) evictFitsLocked() {
-	for s.fits.Len() > s.fits.Cap() {
-		ok := s.fits.EvictOldest(func(e *fitEntry) bool {
-			select {
-			case <-e.done:
-				return e.waiters == 0
-			default:
-				return false
-			}
-		})
-		if !ok {
-			return
+		pl := core.NewPipeline(opt)
+		art, err := pl.Fit(ctx, ser, targets)
+		if err != nil {
+			return fitted{seriesHit: hit}, err
 		}
-	}
+		pred, err := pl.Finish(ctx, art)
+		return fitted{pred, hit}, err
+	})
+	return res.pred, res.seriesHit, err
 }
 
 // planCell is one cell of a decomposed sweep: the collect step is its

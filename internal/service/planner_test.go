@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/counters"
+	"repro/internal/flight"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -152,7 +153,8 @@ func TestPredictSharesArtifactsWithSweep(t *testing.T) {
 // not from a fresh simulation.
 func TestFitCacheEvictionRefits(t *testing.T) {
 	var sims atomic.Int64
-	svc := newTestService(t, Config{FitCacheSize: 1, CollectSample: countingCollector(&sims)})
+	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
+	svc.fits = flight.New[string, fitted](1)
 	var fits atomic.Int64
 	svc.fitHook = func(string) { fits.Add(1) }
 	predict := func(workload string) {
@@ -174,27 +176,6 @@ func TestFitCacheEvictionRefits(t *testing.T) {
 	predict("intruder") // now memo-resident again
 	if got := fits.Load(); got != 3 {
 		t.Errorf("%d fits after warm repeat, want 3", got)
-	}
-}
-
-// TestNegativeFitCacheSizeDisablesMemo pins the escape hatch: every
-// prediction refits, exactly like the pre-planner service.
-func TestNegativeFitCacheSizeDisablesMemo(t *testing.T) {
-	svc := newTestService(t, Config{FitCacheSize: -1})
-	req := PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: 0.05}
-	first, err := svc.Predict(bg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := svc.Predict(bg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed, hits := svc.FitCacheStats(); computed != 0 || hits != 0 {
-		t.Errorf("disabled memo recorded %d computed / %d hits", computed, hits)
-	}
-	if !reflect.DeepEqual(first.Time, second.Time) {
-		t.Error("memo-less predictions must still be deterministic")
 	}
 }
 

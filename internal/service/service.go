@@ -4,9 +4,9 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/counters"
+	"repro/internal/flight"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -26,16 +26,10 @@ type Config struct {
 	// runtime.GOMAXPROCS(0), the bound sim.CollectSeries and internal/pool
 	// use too.
 	Workers int
-	// CollectSample overrides the per-sample measurement collector (tests
-	// stub it; a future perf-based backend plugs in here). nil means
-	// sim.Collect.
+	// CollectSample overrides the per-sample measurement collector, a seam
+	// for tests and benchmarks (perfbench and the experiment harness count
+	// or stub simulations through it). nil means sim.Collect.
 	CollectSample func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error)
-	// FitCacheSize bounds the sweep planner's fitted-model memo (entries).
-	// 0 means DefaultFitCacheSize; a negative size disables the memo
-	// entirely (every prediction refits, as before the planner). Evicted
-	// artifacts cost one refit to restore — their measurement series stays
-	// in the store — so the bound trades memory for refit work only.
-	FitCacheSize int
 }
 
 // Service executes every versioned API request through one code path:
@@ -48,38 +42,32 @@ type Service struct {
 	store *store.Store
 	sem   chan struct{}
 
-	mu   sync.Mutex
-	memo map[store.Key]*memoEntry
-
-	// fitMu guards the sweep planner's fitted-model memo (nil when
-	// disabled); see planner.go.
-	fitMu sync.Mutex
-	fits  *lruCache[*fitEntry]
-	// fitsComputed counts fit computations actually run; fitMemoHits counts
-	// requests answered from the memo instead.
-	fitsComputed atomic.Int64
-	fitMemoHits  atomic.Int64
+	// memo shares in-flight collections and retains recent series by
+	// seriesKey; fits does the same for fitted predictions by artifactKey
+	// (see planner.go).
+	memo *flight.Group[store.Key, seriesResult]
+	fits *flight.Group[string, fitted]
 	// fitHook, when set (by tests, before first use), observes every fit
 	// computation as it starts.
 	fitHook func(artifactKey string)
 }
 
-// memoEntry is the in-process collection slot for one series key.
-// Concurrent requests share one simulation: the collection runs detached
-// from any single requester's context (so one client's disconnect cannot
-// fail the others) and is cancelled only when every waiter has given up.
-type memoEntry struct {
-	// done is closed when the collection goroutine finishes; series, hit
-	// and err are immutable afterwards (happens-before via the close).
-	done   chan struct{}
+// seriesResult is one series memo entry: the series, and whether it was
+// replayed from the store rather than simulated.
+type seriesResult struct {
 	series *counters.Series
 	hit    bool
-	err    error
-	// waiters and cancel are guarded by the service mutex: the last waiter
-	// to abandon an unfinished collection cancels it.
-	waiters int
-	cancel  context.CancelFunc
 }
+
+// memoKeep bounds how many completed results each in-process memo retains.
+// The memos exist to share in-flight work and give repeat requests a
+// pointer-stable fast path; long-term persistence is the disk store's job,
+// so a long-running daemon must not grow without bound as clients vary the
+// (workload, machine, cores, scale, options) tuple. A fitted artifact is a
+// few functions plus the evaluated curves, so 256 comfortably covers the
+// full workload × machine preset matrix at several option sets; an evicted
+// one costs a refit from its still-stored series.
+const memoKeep = 256
 
 // New builds a Service. A CacheDir that cannot be created or opened is an
 // error: a caller that asked for persistence should not silently lose it.
@@ -96,14 +84,8 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:  cfg,
 		sem:  make(chan struct{}, cfg.Workers),
-		memo: map[store.Key]*memoEntry{},
-	}
-	if cfg.FitCacheSize >= 0 {
-		size := cfg.FitCacheSize
-		if size == 0 {
-			size = DefaultFitCacheSize
-		}
-		s.fits = newLRUCache[*fitEntry](size)
+		memo: flight.New[store.Key, seriesResult](memoKeep),
+		fits: flight.New[string, fitted](memoKeep),
 	}
 	if cfg.CacheDir != "" {
 		st, err := store.Open(cfg.CacheDir)
@@ -150,124 +132,44 @@ func seriesKey(workload, mach string, maxCores int, scale float64) store.Key {
 // left waiting on it, so one client's disconnect never fails another's
 // request.
 func (s *Service) series(ctx context.Context, w sim.Workload, m *machine.Config, maxCores int, scale float64) (*counters.Series, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
 	key := seriesKey(w.Name(), m.Name, maxCores, scale)
-	s.mu.Lock()
-	ent, ok := s.memo[key]
-	if !ok {
-		s.evictLocked()
-		// Collection dedup, prefix case: a completed 1..N entry (N > K) of
+	res, err := s.memo.Do(ctx, key, func(ctx context.Context) (seriesResult, error) {
+		// Collection dedup, prefix case: a retained 1..N entry (N > K) of
 		// the same input contains this 1..K schedule — every sample is
 		// collected independently, so windowing it is byte-identical to
-		// collecting afresh. The derived entry inherits the parent's hit
-		// flag, exactly what a caller joining the parent would have seen.
-		// A parent that cannot actually be windowed (a corrupted store file
-		// can load fewer samples than its key claims) falls through to
-		// collection instead of memoizing a broken entry.
-		if parent := s.prefixLocked(key); parent != nil {
-			if win := windowSeries(parent.series, maxCores); win != nil {
-				ent = &memoEntry{done: closedChan, series: win, hit: parent.hit}
-				s.memo[key] = ent
-				s.mu.Unlock()
-				go s.store.Put(key, win) // best-effort, off the lock
-				return win, ent.hit, nil
+		// collecting afresh. The shortest parent wins and the derived entry
+		// inherits its hit flag, exactly what a caller joining the parent
+		// would have seen. A parent that cannot actually be windowed (a
+		// corrupted store file can load fewer samples than its key claims)
+		// falls through to the store and collection.
+		var parent seriesResult
+		for n := maxCores + 1; n <= m.NumCores() && parent.series == nil; n++ {
+			parent, _ = s.memo.Peek(seriesKey(w.Name(), m.Name, n, scale))
+		}
+		if win := windowSeries(parent.series, maxCores); win != nil {
+			go s.store.Put(key, win) // best-effort, off the flight
+			return seriesResult{win, parent.hit}, nil
+		}
+		if cached, ok := s.store.Get(ctx, key); ok {
+			return seriesResult{cached, true}, nil
+		}
+		// The store may hold a longer series of the same input whose
+		// prefix is this schedule; windowing it replays measurements
+		// exactly like an exact hit would.
+		if stored, ok := s.store.FindPrefix(ctx, key); ok {
+			if win := windowSeries(stored, maxCores); win != nil {
+				s.store.Put(key, win)
+				return seriesResult{win, true}, nil
 			}
 		}
-		// Detach the collection from the requester: it must survive this
-		// caller's cancellation for the other waiters' sake.
-		cctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-		ent = &memoEntry{done: make(chan struct{}), cancel: cancel}
-		s.memo[key] = ent
-		go func() {
-			defer close(ent.done)
-			defer cancel()
-			if cached, ok := s.store.Get(cctx, key); ok {
-				ent.series, ent.hit = cached, true
-				return
-			}
-			// The store may hold a longer series of the same input whose
-			// prefix is this schedule; windowing it replays measurements
-			// exactly like an exact hit would.
-			if parent, ok := s.store.FindPrefix(cctx, key); ok {
-				if win := windowSeries(parent, maxCores); win != nil {
-					ent.series, ent.hit = win, true
-					s.store.Put(key, win)
-					return
-				}
-			}
-			ent.series, ent.err = s.collect(cctx, w, m, sim.CoreRange(maxCores), scale)
-			if ent.err == nil {
-				s.store.Put(key, ent.series) // best-effort; a bad cache dir must not fail runs
-			}
-		}()
-	}
-	ent.waiters++
-	s.mu.Unlock()
-
-	select {
-	case <-ent.done:
-		s.mu.Lock()
-		ent.waiters--
-		if ent.err != nil && s.memo[key] == ent {
-			// A failed collection must not poison the memo for later
-			// requests: drop the entry so the next caller retries.
-			delete(s.memo, key)
+		ser, err := s.collect(ctx, w, m, sim.CoreRange(maxCores), scale)
+		if err != nil {
+			return seriesResult{}, err
 		}
-		s.mu.Unlock()
-		return ent.series, ent.hit, ent.err
-	case <-ctx.Done():
-		s.mu.Lock()
-		ent.waiters--
-		if ent.waiters == 0 {
-			select {
-			case <-ent.done: // finished anyway; keep the result cached
-			default:
-				ent.cancel()
-				if s.memo[key] == ent {
-					delete(s.memo, key)
-				}
-			}
-		}
-		s.mu.Unlock()
-		return nil, false, ctx.Err()
-	}
-}
-
-// closedChan is the pre-closed done channel of memo entries that are born
-// completed (prefix-derived series need no collection goroutine).
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// prefixLocked (called under s.mu) returns a completed, error-free memo
-// entry whose series contains key's 1..MaxCores schedule as a prefix, or
-// nil. Among several candidates the shortest wins, so the derived series —
-// and its inherited hit flag — never depend on map iteration order.
-func (s *Service) prefixLocked(key store.Key) *memoEntry {
-	var best *memoEntry
-	bestCores := 0
-	for k, ent := range s.memo {
-		if k.Workload != key.Workload || k.Machine != key.Machine ||
-			k.Scale != key.Scale || k.Engine != key.Engine || k.MaxCores <= key.MaxCores {
-			continue
-		}
-		select {
-		case <-ent.done:
-		default:
-			continue // still collecting
-		}
-		if ent.err != nil || ent.series == nil {
-			continue
-		}
-		if best == nil || k.MaxCores < bestCores {
-			best, bestCores = ent, k.MaxCores
-		}
-	}
-	return best
+		s.store.Put(key, ser) // best-effort; a bad cache dir must not fail runs
+		return seriesResult{series: ser}, nil
+	})
+	return res.series, res.hit, err
 }
 
 // windowSeries returns the 1..maxCores prefix of a longer series as a new
@@ -288,35 +190,6 @@ func windowSeries(parent *counters.Series, maxCores int) *counters.Series {
 		Machine:  parent.Machine,
 		Scale:    parent.Scale,
 		Samples:  parent.Samples[:maxCores:maxCores],
-	}
-}
-
-// memoLimit bounds how many completed series the in-process memo retains.
-// The memo exists to share in-flight collections and give repeat requests a
-// pointer-stable fast path; long-term persistence is the disk store's job,
-// so a long-running daemon must not grow without bound as clients vary the
-// (workload, machine, cores, scale) tuple.
-const memoLimit = 256
-
-// evictLocked (serviced under s.mu) drops completed, waiter-less memo
-// entries until the map is under memoLimit; in-flight entries are never
-// evicted. Eviction order is map order — effectively random, which is fine
-// for a safety bound.
-func (s *Service) evictLocked() {
-	if len(s.memo) < memoLimit {
-		return
-	}
-	for k, ent := range s.memo {
-		select {
-		case <-ent.done:
-			if ent.waiters == 0 {
-				delete(s.memo, k)
-			}
-		default: // still collecting
-		}
-		if len(s.memo) < memoLimit {
-			return
-		}
 	}
 }
 
