@@ -52,14 +52,14 @@ type Options struct {
 	// stall values are scaled by it before the time correlation. 0 means 1.
 	DatasetScale float64
 	// Workers bounds the worker pool the pipeline stages fan out over
-	// (per-category fitting, bootstrap replicates). 0 means
+	// (candidate fits, bootstrap replicates). 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Gate, when non-nil, is a shared counting semaphore (a buffered
-	// channel) acquired around every unit of pool work — one category fit,
-	// one bootstrap replicate — so many concurrent pipelines can share one
-	// CPU budget instead of each opening a full-width pool. nil means
-	// ungated; results are identical either way.
+	// channel) acquired around every unit of pool work — one candidate
+	// fit, one bootstrap replicate — so many concurrent pipelines can
+	// share one CPU budget instead of each opening a full-width pool. nil
+	// means ungated; results are identical either way.
 	Gate chan struct{}
 	// Bootstrap, when positive, runs that many residual-bootstrap
 	// resamples after the point prediction, filling Prediction.TimeLo,
@@ -153,18 +153,16 @@ func PredictContext(ctx context.Context, series *counters.Series, targetCores []
 	return NewPipeline(opt).Run(ctx, series, targetCores)
 }
 
-// approximateRelaxing runs the Figure 4 approximation, progressively
-// relaxing the realism filters if they reject every candidate (very noisy
-// small categories occasionally defeat the strict settings; the tool must
-// still produce an answer).
-func approximateRelaxing(xs, ys []float64, fopt fit.Options) (*fit.Fit, error) {
-	f, err := fit.Approximate(xs, ys, fopt)
-	if err == nil {
-		return f, nil
+// bestOrLinear picks a finished search's candidate with the smallest
+// checkpoint RMSE (the Figure 4 selection). When the realism filters
+// rejected every candidate — very noisy small categories occasionally
+// defeat every Table 1 kernel — it falls back to a linear continuation,
+// which cannot blow up and always exists: the tool must still produce an
+// answer.
+func bestOrLinear(s *fit.Search, xs, ys []float64, fopt fit.Options) (*fit.Fit, error) {
+	if cands, err := s.Candidates(); err == nil {
+		return fit.BestByRMSE(cands), nil
 	}
-	// Last resort: a linear continuation. It cannot blow up and always
-	// exists; noisy small categories occasionally defeat every Table 1
-	// kernel's realism checks.
 	relaxed := fopt
 	relaxed.Kernels = []*fit.Kernel{fit.Linear}
 	relaxed.MaxFitNRMSE = 1e9

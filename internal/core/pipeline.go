@@ -56,8 +56,10 @@ func (pl *Pipeline) workers(items int) int {
 // and waits for all of them. fn writes results by index, so completion
 // order never affects the outcome. Cancelling ctx stops dispatching new
 // items, drains the workers, and returns ctx.Err(); items already handed to
-// a worker finish (each is one fit, bounded work), so the pool never leaks
-// goroutines.
+// a worker finish (each is one fit or one bootstrap replicate, bounded
+// work), so the pool never leaks goroutines. fn must not call runIndexed:
+// a nested pool would hold a Gate slot while waiting for more, which
+// deadlocks once the gate is full.
 func (pl *Pipeline) runIndexed(ctx context.Context, n int, fn func(i int)) error {
 	next := make(chan int)
 	gate := pl.opt.Gate
@@ -204,11 +206,13 @@ type Extrapolation struct {
 }
 
 // Extrapolate runs step B on a measured series. Per-category fitting — one
-// fit.Approximate search per category, the dominant cost of a prediction —
-// runs across the pipeline's worker pool. Each category is fitted
-// independently, so the result is identical to the sequential order
-// regardless of worker count. Cancelling ctx aborts the fan-out and
-// returns ctx.Err().
+// kernel × prefix candidate search per category, the dominant cost of a
+// prediction — is one fan-out: every candidate fit of every non-zero
+// category is a task on the pipeline's worker pool, so no worker idles
+// while one category's slowest kernels finish. Each task writes its own
+// slot and each category then picks its best candidate in order, so the
+// result is identical to the sequential order regardless of worker count.
+// Cancelling ctx aborts the fan-out and returns ctx.Err().
 func (pl *Pipeline) Extrapolate(ctx context.Context, series *counters.Series, targets []float64) (*Extrapolation, error) {
 	if err := pl.opt.Validate(); err != nil {
 		return nil, err
@@ -230,37 +234,44 @@ func (pl *Pipeline) Extrapolate(ctx context.Context, series *counters.Series, ta
 		Values:   map[string][]float64{},
 		measured: cats,
 	}
-	type result struct {
-		f    *fit.Fit
-		vals []float64
-		err  error
+	// searches[c] is nil for an all-zero category, which gets no fit.
+	searches := make([]*fit.Search, len(cats))
+	type task struct {
+		s *fit.Search
+		i int
 	}
-	results := make([]result, len(cats))
-	if err := pl.runIndexed(ctx, len(cats), func(i int) {
-		if allNearZero(cats[i].ys) {
-			results[i] = result{vals: make([]float64, len(targets))}
-			return
+	var tasks []task
+	for c, cat := range cats {
+		if allNearZero(cat.ys) {
+			continue
 		}
-		f, err := approximateRelaxing(xs, cats[i].ys, fopt)
+		s, err := fit.NewSearch(xs, cat.ys, fopt)
 		if err != nil {
-			results[i] = result{err: err}
-			return
+			return nil, fmt.Errorf("core: extrapolating %s for %s: %w", cat.name, series.Workload, err)
 		}
-		results[i] = result{f: f, vals: evalClamped(f, targets, scale)}
+		searches[c] = s
+		for i := 0; i < s.Len(); i++ {
+			tasks = append(tasks, task{s, i})
+		}
+	}
+	if err := pl.runIndexed(ctx, len(tasks), func(t int) {
+		tasks[t].s.Run(tasks[t].i)
 	}); err != nil {
 		return nil, err
 	}
 
-	for i, cat := range cats {
-		r := results[i]
-		if r.err != nil {
-			return nil, fmt.Errorf("core: extrapolating %s for %s: %w", cat.name, series.Workload, r.err)
+	for c, cat := range cats {
+		vals := make([]float64, len(targets))
+		if s := searches[c]; s != nil {
+			f, err := bestOrLinear(s, xs, cat.ys, fopt)
+			if err != nil {
+				return nil, fmt.Errorf("core: extrapolating %s for %s: %w", cat.name, series.Workload, err)
+			}
+			ex.Fits[cat.name] = f
+			vals = evalClamped(f, targets, scale)
 		}
 		ex.Names = append(ex.Names, cat.name)
-		if r.f != nil {
-			ex.Fits[cat.name] = r.f
-		}
-		ex.Values[cat.name] = r.vals
+		ex.Values[cat.name] = vals
 	}
 	return ex, nil
 }
@@ -297,8 +308,10 @@ func (pl *Pipeline) Combine(ex *Extrapolation) []float64 {
 // SelectFactor runs step C: the scaling factor connecting stalls per core
 // to time. The factor is computed from the measurements, extrapolated with
 // the same kernels, and selected for maximum correlation of the produced
-// time predictions with the extrapolated stalls per core (§3.1.3).
-func (pl *Pipeline) SelectFactor(series *counters.Series, targets, stallsPerCore []float64) (*fit.Fit, error) {
+// time predictions with the extrapolated stalls per core (§3.1.3). Its
+// candidate fits fan out over the pipeline's worker pool; cancelling ctx
+// aborts them and returns ctx.Err().
+func (pl *Pipeline) SelectFactor(ctx context.Context, series *counters.Series, targets, stallsPerCore []float64) (*fit.Fit, error) {
 	xs := series.Cores()
 	times := series.Times()
 	factor, err := measuredFactor(series, pl.opt)
@@ -312,7 +325,18 @@ func (pl *Pipeline) SelectFactor(series *counters.Series, targets, stallsPerCore
 	lastTime := times[len(times)-1]
 	factorOpt.LoBound = lastTime / 10
 	factorOpt.HiBound = lastTime * 4
-	ffit, err := fit.SelectByCorrelation(xs, factor, targets, stallsPerCore, factorOpt)
+	s, err := fit.NewSearch(xs, factor, factorOpt)
+	if err != nil {
+		return nil, fmt.Errorf("core: fitting scaling factor for %s: %w", series.Workload, err)
+	}
+	if err := pl.runIndexed(ctx, s.Len(), s.Run); err != nil {
+		return nil, err
+	}
+	cands, err := s.Candidates()
+	var ffit *fit.Fit
+	if err == nil {
+		ffit, err = fit.BestByCorrelation(cands, targets, stallsPerCore, factorOpt)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: fitting scaling factor for %s: %w", series.Workload, err)
 	}
@@ -390,7 +414,7 @@ func (pl *Pipeline) Fit(ctx context.Context, series *counters.Series, targetCore
 		return nil, err
 	}
 	spc := pl.Combine(ex)
-	ffit, err := pl.SelectFactor(series, targets, spc)
+	ffit, err := pl.SelectFactor(ctx, series, targets, spc)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/counters"
+	"repro/internal/fit"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -119,7 +121,7 @@ func TestPipelineStagesComposeToPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	spc := pl.Combine(ex)
-	ffit, err := pl.SelectFactor(s, targets, spc)
+	ffit, err := pl.SelectFactor(context.Background(), s, targets, spc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,10 @@ func TestPipelineStagesComposeToPredict(t *testing.T) {
 
 // Parallel fitting must be bit-identical to the sequential order on the
 // fig5 scenario (intruder measured on one Opteron processor): the worker
-// count is a throughput knob, never a result knob.
+// count and the gate are throughput knobs, never result knobs. Every fitted
+// bit is compared — each category fit and the factor fit, and the bootstrap
+// bands and stability scores — under several worker counts and a gate of
+// one slot.
 func TestParallelFittingMatchesSerialOnFig5Scenario(t *testing.T) {
 	m := machine.Opteron()
 	w, err := workloads.Lookup("intruder")
@@ -165,25 +170,94 @@ func TestParallelFittingMatchesSerialOnFig5Scenario(t *testing.T) {
 	for c := 13; c <= 48; c++ {
 		targets = append(targets, c)
 	}
-	serial, err := Predict(measured, targets, Options{UseSoftware: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	predict := func(opt Options) *Prediction {
+		t.Helper()
+		opt.UseSoftware = true
+		opt.Bootstrap = 20
+		p, err := Predict(measured, targets, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	parallel, err := Predict(measured, targets, Options{UseSoftware: true, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Time, parallel.Time) {
-		t.Errorf("parallel Time differs from serial:\n%v\n%v", serial.Time, parallel.Time)
-	}
-	if !reflect.DeepEqual(serial.StallsPerCore, parallel.StallsPerCore) {
-		t.Error("parallel StallsPerCore differs from serial")
-	}
-	for name, f := range serial.CategoryFits {
-		if pf := parallel.CategoryFits[name]; pf == nil || pf.String() != f.String() {
-			t.Errorf("category %s: serial %s, parallel %v", name, f, pf)
+	serial := predict(Options{Workers: 1})
+	for _, v := range []struct {
+		name string
+		opt  Options
+	}{
+		{"workers=2", Options{Workers: 2}},
+		{"workers=3", Options{Workers: 3}},
+		{"workers=8", Options{Workers: 8}},
+		{"gate=1", Options{Gate: make(chan struct{}, 1)}},
+	} {
+		name, got := v.name, predict(v.opt)
+		for _, c := range []struct {
+			field      string
+			want, have []float64
+		}{
+			{"Time", serial.Time, got.Time},
+			{"StallsPerCore", serial.StallsPerCore, got.StallsPerCore},
+			{"TimeLo", serial.TimeLo, got.TimeLo},
+			{"TimeHi", serial.TimeHi, got.TimeHi},
+		} {
+			if !sameBits(c.want, c.have) {
+				t.Errorf("%s: %s differs from serial:\n%v\n%v", name, c.field, c.want, c.have)
+			}
+		}
+		if len(got.CategoryFits) != len(serial.CategoryFits) {
+			t.Errorf("%s: %d category fits, serial has %d", name, len(got.CategoryFits), len(serial.CategoryFits))
+		}
+		for cat, f := range serial.CategoryFits {
+			if err := sameFit(f, got.CategoryFits[cat]); err != "" {
+				t.Errorf("%s: category %s: %s", name, cat, err)
+			}
+		}
+		if err := sameFit(serial.FactorFit, got.FactorFit); err != "" {
+			t.Errorf("%s: factor fit: %s", name, err)
+		}
+		if len(got.Stability) != len(serial.Stability) {
+			t.Errorf("%s: %d stability scores, serial has %d", name, len(got.Stability), len(serial.Stability))
+		}
+		for cat, v := range serial.Stability {
+			if h, ok := got.Stability[cat]; !ok || math.Float64bits(h) != math.Float64bits(v) {
+				t.Errorf("%s: category %s stability %v, serial %v", name, cat, h, v)
+			}
+		}
+		if math.Float64bits(got.FactorStability) != math.Float64bits(serial.FactorStability) {
+			t.Errorf("%s: factor stability %v, serial %v", name, got.FactorStability, serial.FactorStability)
 		}
 	}
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameFit describes how got differs from want in kernel, prefix, scale,
+// coefficients or checkpoint RMSE, bit for bit; "" when it does not.
+func sameFit(want, got *fit.Fit) string {
+	switch {
+	case got == nil:
+		return "missing"
+	case got.Kernel != want.Kernel || got.PrefixLen != want.PrefixLen:
+		return fmt.Sprintf("got %s, want %s", got, want)
+	case !sameBits(got.Params, want.Params):
+		return fmt.Sprintf("params %v, want %v", got.Params, want.Params)
+	case math.Float64bits(got.YScale) != math.Float64bits(want.YScale):
+		return fmt.Sprintf("YScale %v, want %v", got.YScale, want.YScale)
+	case math.Float64bits(got.CheckpointRMSE) != math.Float64bits(want.CheckpointRMSE):
+		return fmt.Sprintf("CheckpointRMSE %v, want %v", got.CheckpointRMSE, want.CheckpointRMSE)
+	}
+	return ""
 }
 
 func TestExtrapolateKeepsZeroCategories(t *testing.T) {
@@ -338,6 +412,26 @@ func TestRunAbortsOnContextCancel(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Run did not abort after cancellation")
+	}
+}
+
+// The factor search fans out over the worker pool like step B, so a
+// cancelled context must stop it too.
+func TestSelectFactorAbortsOnContextCancel(t *testing.T) {
+	s := syntheticSeries(12)
+	pl := NewPipeline(Options{})
+	targets, err := Targets([]int{16, 24, 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := pl.Extrapolate(context.Background(), s, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := pl.SelectFactor(ctx, s, targets, pl.Combine(ex)); !errors.Is(err, context.Canceled) {
+		t.Errorf("SelectFactor with a cancelled context = %v, want context.Canceled", err)
 	}
 }
 

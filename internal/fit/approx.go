@@ -39,8 +39,9 @@ func (f *Fit) Eval(x float64) float64 {
 // EvalSeries evaluates the fitted function at every x in xs.
 func (f *Fit) EvalSeries(xs []float64) []float64 {
 	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = f.Eval(x)
+	f.Kernel.EvalAll(f.Params, xs, out)
+	for i := range out {
+		out[i] *= f.YScale
 	}
 	return out
 }
@@ -117,20 +118,60 @@ func Approximate(xs, ys []float64, opt Options) (*Fit, error) {
 	if err != nil {
 		return nil, err
 	}
+	return BestByRMSE(cands), nil
+}
+
+// BestByRMSE returns the candidate with the smallest checkpoint RMSE, the
+// first one on ties; nil for no candidates.
+func BestByRMSE(cands []*Fit) *Fit {
+	if len(cands) == 0 {
+		return nil
+	}
 	best := cands[0]
 	for _, c := range cands[1:] {
 		if c.CheckpointRMSE < best.CheckpointRMSE {
 			best = c
 		}
 	}
-	return best, nil
+	return best
 }
 
 // CandidateFits returns every kernel/prefix candidate that survives the
 // realism filters, each scored with its checkpoint RMSE. The scaling-factor
 // step of the pipeline uses the full candidate set to select by correlation
-// instead of by RMSE.
+// instead of by RMSE. It runs a Search's tasks in order on the calling
+// goroutine.
 func CandidateFits(xs, ys []float64, opt Options) ([]*Fit, error) {
+	s, err := NewSearch(xs, ys, opt)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < s.Len(); i++ {
+		s.Run(i)
+	}
+	return s.Candidates()
+}
+
+// Search is one series' kernel × prefix candidate search split into
+// independent tasks, so a caller can spread them over a worker pool. Task i
+// fits one kernel on one prefix and writes only slot i; Candidates collects
+// the survivors in slot order (kernels in Options order, then prefixes
+// ascending), so the result never depends on which goroutine ran which task
+// or when.
+type Search struct {
+	xs, ys   []float64
+	opt      Options
+	prefixes []int
+	cpX, cpY []float64
+	bounds   realismBounds
+	// slots holds task i's surviving fit at index i, nil if it was
+	// rejected or has not run.
+	slots []*Fit
+}
+
+// NewSearch validates the measurements (xs strictly increasing core counts,
+// finite, as long as ys) and lays out the search's tasks.
+func NewSearch(xs, ys []float64, opt Options) (*Search, error) {
 	if len(xs) != len(ys) {
 		return nil, ErrBadInput
 	}
@@ -163,34 +204,53 @@ func CandidateFits(xs, ys []float64, opt Options) ([]*Fit, error) {
 			c = m - 1
 		}
 	}
-	cpX, cpY := xs[m-c:], ys[m-c:]
-	bounds := newRealismBounds(xs, ys, opt)
+	return &Search{
+		xs:       xs,
+		ys:       ys,
+		opt:      opt,
+		prefixes: prefixes,
+		cpX:      xs[m-c:],
+		cpY:      ys[m-c:],
+		bounds:   newRealismBounds(xs, ys, opt),
+		slots:    make([]*Fit, len(opt.Kernels)*len(prefixes)),
+	}, nil
+}
 
+// Len is the number of tasks.
+func (s *Search) Len() int { return len(s.slots) }
+
+// Run fits task i's kernel on its prefix and keeps the fit in slot i if it
+// survives the realism filters. Distinct tasks may run concurrently.
+func (s *Search) Run(i int) {
+	kern := s.opt.Kernels[i/len(s.prefixes)]
+	plen := s.prefixes[i%len(s.prefixes)]
+	f := fitOne(kern, s.xs[:plen], s.ys[:plen])
+	if f == nil {
+		return
+	}
+	f.PrefixLen = plen
+	if !realistic(f, s.opt, s.bounds) || !tailGrowthOK(f, s.opt, s.bounds) {
+		return
+	}
+	// The candidate must also describe the measurements it saw.
+	fullFit, err := stats.NRMSE(f.EvalSeries(s.xs[:plen]), s.ys[:plen])
+	if err != nil || math.IsNaN(fullFit) || fullFit > s.opt.MaxFitNRMSE {
+		return
+	}
+	rmse, err := stats.NRMSE(f.EvalSeries(s.cpX), s.cpY)
+	if err != nil || math.IsNaN(rmse) || math.IsInf(rmse, 0) {
+		return
+	}
+	f.CheckpointRMSE = rmse
+	s.slots[i] = f
+}
+
+// Candidates returns the surviving candidates in task order, or
+// ErrNoValidFit if none survived. Every task must have run.
+func (s *Search) Candidates() ([]*Fit, error) {
 	var cands []*Fit
-	for _, kern := range opt.Kernels {
-		for _, plen := range prefixes {
-			f := fitOne(kern, xs[:plen], ys[:plen])
-			if f == nil {
-				continue
-			}
-			f.PrefixLen = plen
-			if !realistic(f, opt, bounds) {
-				continue
-			}
-			if !tailGrowthOK(f, opt, bounds) {
-				continue
-			}
-			// The candidate must also describe the measurements it saw.
-			fullFit, err := stats.NRMSE(f.EvalSeries(xs[:plen]), ys[:plen])
-			if err != nil || math.IsNaN(fullFit) || fullFit > opt.MaxFitNRMSE {
-				continue
-			}
-			pred := f.EvalSeries(cpX)
-			rmse, err := stats.NRMSE(pred, cpY)
-			if err != nil || math.IsNaN(rmse) || math.IsInf(rmse, 0) {
-				continue
-			}
-			f.CheckpointRMSE = rmse
+	for _, f := range s.slots {
+		if f != nil {
 			cands = append(cands, f)
 		}
 	}
@@ -263,7 +323,7 @@ func fitOneSeeded(kern *Kernel, xs, ys, seed []float64) *Fit {
 		if len(s) != kern.NParams {
 			continue
 		}
-		p, chi := LevenbergMarquardt(kern.Eval, xs, norm, s)
+		p, chi := LevenbergMarquardt(kern.EvalAll, xs, norm, s)
 		if chi < bestChi {
 			bestChi = chi
 			bestP = p
@@ -392,10 +452,7 @@ func realismGrid(lo, hi float64) []float64 {
 }
 
 // SelectByCorrelation implements the scaling-factor selection of §3.1.3: it
-// fits candidates to (xs, factor) and returns the candidate whose produced
-// execution-time series — candidate(x) × reference(x) over targetXs — has
-// the highest Pearson correlation with the reference series (the total
-// stalled cycles per core). Ties break toward lower checkpoint RMSE.
+// fits candidates to (xs, factor) and returns BestByCorrelation of them.
 func SelectByCorrelation(xs, factor []float64, targetXs, reference []float64, opt Options) (*Fit, error) {
 	if len(targetXs) != len(reference) || len(targetXs) == 0 {
 		return nil, ErrBadInput
@@ -405,6 +462,19 @@ func SelectByCorrelation(xs, factor []float64, targetXs, reference []float64, op
 	cands, err := CandidateFits(xs, factor, opt)
 	if err != nil {
 		return nil, err
+	}
+	return BestByCorrelation(cands, targetXs, reference, opt)
+}
+
+// BestByCorrelation returns the candidate whose produced execution-time
+// series — candidate(x) × reference(x) over targetXs — has the highest
+// Pearson correlation with the reference series (the total stalled cycles
+// per core). Among near-maximal correlations the lower checkpoint RMSE
+// wins. Produced times outside opt.LoBound/HiBound disqualify a candidate
+// unless that leaves none.
+func BestByCorrelation(cands []*Fit, targetXs, reference []float64, opt Options) (*Fit, error) {
+	if len(targetXs) != len(reference) || len(targetXs) == 0 {
+		return nil, ErrBadInput
 	}
 	// First pass honours the produced-value bounds; if they eliminate every
 	// candidate, fall back to the unbounded selection so the tool still

@@ -20,6 +20,11 @@ type Kernel struct {
 	Linear bool
 	// Eval evaluates the kernel at x with the given parameters.
 	Eval func(p []float64, x float64) float64
+	// evalAll, when set, is Eval over a whole slice of xs in one call, the
+	// form Levenberg–Marquardt's residual and Jacobian passes use. It
+	// inlines the same expression Eval calls, so the two produce the same
+	// bits; nil means EvalAll loops over Eval.
+	evalAll func(p, xs, out []float64)
 	// Basis returns the basis-function values at x for linear kernels.
 	Basis func(x float64) []float64
 	// Denominator returns the denominator value at x for rational kernels,
@@ -39,9 +44,14 @@ var Rat22 = &Kernel{
 	Name:    "Rat22",
 	NParams: 5,
 	Eval: func(p []float64, x float64) float64 {
-		num := p[0] + p[1]*x + p[2]*x*x
-		den := 1 + p[3]*x + p[4]*x*x
-		return num / den
+		return rat22(p[0], p[1], p[2], p[3], p[4], x)
+	},
+	evalAll: func(p, xs, out []float64) {
+		p0, p1, p2, p3, p4 := p[0], p[1], p[2], p[3], p[4]
+		out = out[:len(xs)]
+		for i, x := range xs {
+			out[i] = rat22(p0, p1, p2, p3, p4, x)
+		}
 	},
 	Denominator: func(p []float64, x float64) float64 {
 		return 1 + p[3]*x + p[4]*x*x
@@ -54,9 +64,14 @@ var Rat23 = &Kernel{
 	Name:    "Rat23",
 	NParams: 6,
 	Eval: func(p []float64, x float64) float64 {
-		num := p[0] + p[1]*x + p[2]*x*x
-		den := 1 + p[3]*x + p[4]*x*x + p[5]*x*x*x
-		return num / den
+		return rat23(p[0], p[1], p[2], p[3], p[4], p[5], x)
+	},
+	evalAll: func(p, xs, out []float64) {
+		p0, p1, p2, p3, p4, p5 := p[0], p[1], p[2], p[3], p[4], p[5]
+		out = out[:len(xs)]
+		for i, x := range xs {
+			out[i] = rat23(p0, p1, p2, p3, p4, p5, x)
+		}
 	},
 	Denominator: func(p []float64, x float64) float64 {
 		return 1 + p[3]*x + p[4]*x*x + p[5]*x*x*x
@@ -69,9 +84,14 @@ var Rat33 = &Kernel{
 	Name:    "Rat33",
 	NParams: 7,
 	Eval: func(p []float64, x float64) float64 {
-		num := p[0] + p[1]*x + p[2]*x*x + p[3]*x*x*x
-		den := 1 + p[4]*x + p[5]*x*x + p[6]*x*x*x
-		return num / den
+		return rat33(p[0], p[1], p[2], p[3], p[4], p[5], p[6], x)
+	},
+	evalAll: func(p, xs, out []float64) {
+		p0, p1, p2, p3, p4, p5, p6 := p[0], p[1], p[2], p[3], p[4], p[5], p[6]
+		out = out[:len(xs)]
+		for i, x := range xs {
+			out[i] = rat33(p0, p1, p2, p3, p4, p5, p6, x)
+		}
 	},
 	Denominator: func(p []float64, x float64) float64 {
 		return 1 + p[4]*x + p[5]*x*x + p[6]*x*x*x
@@ -99,7 +119,14 @@ var ExpRat = &Kernel{
 	Name:    "ExpRat",
 	NParams: 4,
 	Eval: func(p []float64, x float64) float64 {
-		return math.Exp((p[0] + p[1]*x) / (p[2] + p[3]*x))
+		return expRat(p[0], p[1], p[2], p[3], x)
+	},
+	evalAll: func(p, xs, out []float64) {
+		a, b, c, d := p[0], p[1], p[2], p[3]
+		out = out[:len(xs)]
+		for i, x := range xs {
+			out[i] = expRat(a, b, c, d, x)
+		}
 	},
 	Denominator: func(p []float64, x float64) float64 {
 		return p[2] + p[3]*x
@@ -119,6 +146,43 @@ var Poly25 = &Kernel{
 	Basis: func(x float64) []float64 {
 		return []float64{1, x, x * x, math.Pow(x, 2.5)}
 	},
+}
+
+// The nonlinear kernels' formulas. Each is the one expression both Eval and
+// the batched evalAll inline, so the two cannot drift apart. The float64
+// conversions round every product before it is added: Go lets a compiler
+// fuse x*y+z into one rounding, and an explicit conversion is what forbids
+// it, so both inlined copies round identically on every architecture.
+
+func rat22(p0, p1, p2, p3, p4, x float64) float64 {
+	return (p0 + float64(p1*x) + float64(p2*x*x)) /
+		(1 + float64(p3*x) + float64(p4*x*x))
+}
+
+func rat23(p0, p1, p2, p3, p4, p5, x float64) float64 {
+	return (p0 + float64(p1*x) + float64(p2*x*x)) /
+		(1 + float64(p3*x) + float64(p4*x*x) + float64(p5*x*x*x))
+}
+
+func rat33(p0, p1, p2, p3, p4, p5, p6, x float64) float64 {
+	return (p0 + float64(p1*x) + float64(p2*x*x) + float64(p3*x*x*x)) /
+		(1 + float64(p4*x) + float64(p5*x*x) + float64(p6*x*x*x))
+}
+
+func expRat(a, b, c, d, x float64) float64 {
+	return math.Exp((a + float64(b*x)) / (c + float64(d*x)))
+}
+
+// EvalAll writes Eval(p, xs[i]) into out[i] for every i; out must be at
+// least as long as xs. The results are bit-identical to Eval's.
+func (k *Kernel) EvalAll(p, xs, out []float64) {
+	if k.evalAll != nil {
+		k.evalAll(p, xs, out)
+		return
+	}
+	for i, x := range xs {
+		out[i] = k.Eval(p, x)
+	}
 }
 
 // Linear is a plain a + b*x kernel. It is not part of the paper's Table 1

@@ -21,12 +21,9 @@ func LinearLSQ(xs, ys []float64, basis func(float64) []float64, nParams int) ([]
 	if len(xs) != len(ys) || len(xs) == 0 || nParams <= 0 {
 		return nil, ErrBadInput
 	}
-	// Normal equations: (AᵀA) p = Aᵀ y.
-	ata := make([][]float64, nParams)
-	for i := range ata {
-		ata[i] = make([]float64, nParams)
-	}
-	aty := make([]float64, nParams)
+	// Normal equations: (AᵀA) p = Aᵀ y, AᵀA row-major.
+	ata := make([]float64, nParams*nParams+nParams)
+	ata, aty := ata[:nParams*nParams], ata[nParams*nParams:]
 	for i := range xs {
 		row := basis(xs[i])
 		if len(row) != nParams {
@@ -34,18 +31,19 @@ func LinearLSQ(xs, ys []float64, basis func(float64) []float64, nParams int) ([]
 		}
 		for j := 0; j < nParams; j++ {
 			aty[j] += row[j] * ys[i]
+			ataj := ata[j*nParams : (j+1)*nParams]
 			for k := 0; k < nParams; k++ {
-				ata[j][k] += row[j] * row[k]
+				ataj[k] += row[j] * row[k]
 			}
 		}
 	}
 	trace := 0.0
 	for j := 0; j < nParams; j++ {
-		trace += ata[j][j]
+		trace += ata[j*nParams+j]
 	}
 	ridge := 1e-12 * (trace + 1)
 	for j := 0; j < nParams; j++ {
-		ata[j][j] += ridge
+		ata[j*nParams+j] += ridge
 	}
 	p := make([]float64, nParams)
 	if err := solveLinear(ata, aty, p); err != nil {
@@ -55,17 +53,20 @@ func LinearLSQ(xs, ys []float64, basis func(float64) []float64, nParams int) ([]
 }
 
 // solveLinear solves the square system m x = b by Gaussian elimination with
-// partial pivoting, writing the solution into x (len(b) long). m and b are
-// clobbered, and m's rows may be permuted; on error x holds garbage.
-func solveLinear(m [][]float64, b, x []float64) error {
+// partial pivoting, writing the solution into x. m is row-major and
+// len(b)×len(b); m and b are clobbered, and on error x holds garbage. It is
+// the one elimination routine: LinearLSQ and LevenbergMarquardt both solve
+// through it.
+func solveLinear(m, b, x []float64) error {
 	n := len(b)
+	m = m[:n*n]
 	for col := 0; col < n; col++ {
 		// Pivot: largest absolute value in this column at or below the
 		// diagonal.
 		pivot := col
-		maxAbs := math.Abs(m[col][col])
+		maxAbs := math.Abs(m[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if a := math.Abs(m[r][col]); a > maxAbs {
+			if a := math.Abs(m[r*n+col]); a > maxAbs {
 				maxAbs = a
 				pivot = r
 			}
@@ -73,28 +74,36 @@ func solveLinear(m [][]float64, b, x []float64) error {
 		if maxAbs == 0 || math.IsNaN(maxAbs) {
 			return ErrSingular
 		}
+		rowC := m[col*n : (col+1)*n]
 		if pivot != col {
-			m[col], m[pivot] = m[pivot], m[col]
+			// Columns left of col are never read again, so only the
+			// rest of the two rows trades places.
+			rowP := m[pivot*n : (pivot+1)*n]
+			for c := col; c < n; c++ {
+				rowC[c], rowP[c] = rowP[c], rowC[c]
+			}
 			b[col], b[pivot] = b[pivot], b[col]
 		}
-		inv := 1 / m[col][col]
+		inv := 1 / rowC[col]
 		for r := col + 1; r < n; r++ {
-			f := m[r][col] * inv
+			rowR := m[r*n : (r+1)*n]
+			f := rowR[col] * inv
 			if f == 0 {
 				continue
 			}
 			for c := col; c < n; c++ {
-				m[r][c] -= f * m[col][c]
+				rowR[c] -= f * rowC[c]
 			}
 			b[r] -= f * b[col]
 		}
 	}
 	for r := n - 1; r >= 0; r-- {
+		row := m[r*n : (r+1)*n]
 		sum := b[r]
 		for c := r + 1; c < n; c++ {
-			sum -= m[r][c] * x[c]
+			sum -= row[c] * x[c]
 		}
-		x[r] = sum / m[r][r]
+		x[r] = sum / row[r]
 		if math.IsNaN(x[r]) || math.IsInf(x[r], 0) {
 			return ErrSingular
 		}

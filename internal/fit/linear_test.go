@@ -84,7 +84,7 @@ func TestLinearLSQBadInput(t *testing.T) {
 }
 
 func TestSolveLinearSingular(t *testing.T) {
-	m := [][]float64{{1, 1}, {1, 1}}
+	m := []float64{1, 1, 1, 1}
 	b := []float64{1, 2}
 	if err := solveLinear(m, b, make([]float64, 2)); err == nil {
 		t.Error("singular system should error")

@@ -22,13 +22,14 @@ func defaultLMOptions() lmOptions {
 	}
 }
 
-// lmResiduals fills r with f(p, xs[i]) - ys[i] and returns the sum of
-// squares. It reports false, with an infinite sum, as soon as f produces a
-// NaN or an infinity.
-func lmResiduals(f func(p []float64, x float64) float64, xs, ys, p, r []float64) (float64, bool) {
+// lmResiduals fills r with f(p, xs[i]) - ys[i], evaluating the model over
+// all of xs in one evalAll call, and returns the sum of squares. It reports
+// false, with an infinite sum, if f produced a NaN or an infinity.
+func lmResiduals(evalAll func(p, xs, out []float64), xs, ys, p, r []float64) (float64, bool) {
+	r = r[:len(xs)]
+	evalAll(p, xs, r)
 	chi := 0.0
-	for i := range xs {
-		v := f(p, xs[i])
+	for i, v := range r {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return math.Inf(1), false
 		}
@@ -40,18 +41,21 @@ func lmResiduals(f func(p []float64, x float64) float64, xs, ys, p, r []float64)
 
 // LevenbergMarquardt minimizes sum_i (f(p, xs[i]) - ys[i])^2 over p starting
 // from start, returning the refined parameters and the final sum of squared
-// residuals. The Jacobian is computed by forward differences. The
+// residuals. evalAll(p, xs, out) writes f(p, xs[i]) into out[i] for every i
+// (Kernel.EvalAll); the solver calls it once per residual pass and once per
+// Jacobian column. The Jacobian is computed by forward differences. The
 // implementation is the classic damped normal-equations variant: solve
 // (JᵀJ + λ diag(JᵀJ)) δ = -Jᵀr, accept steps that reduce χ², shrinking λ on
 // success and growing it on failure.
-func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []float64) ([]float64, float64) {
+func LevenbergMarquardt(evalAll func(p, xs, out []float64), xs, ys, start []float64) ([]float64, float64) {
 	opt := defaultLMOptions()
 	m, n := len(xs), len(start)
 
-	// Every buffer comes from two allocations, so the iterations allocate
+	// Every buffer comes from one allocation, so the iterations allocate
 	// nothing: the parameters and trial parameters, the residuals at each,
-	// the row-major m×n Jacobian, JᵀJ and its damped copy a (row headers
-	// in rows), Jᵀr, and the damped system's right-hand side b and step.
+	// the column-major Jacobian (column j is jac[j*m:(j+1)*m]), the
+	// row-major n×n JᵀJ and its damped copy a, Jᵀr, and the damped
+	// system's right-hand side b and step.
 	buf := make([]float64, 5*n+2*m+m*n+2*n*n)
 	take := func(k int) []float64 {
 		s := buf[:k:k]
@@ -59,74 +63,48 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 		return s
 	}
 	p, trial, r, tr := take(n), take(n), take(m), take(m)
-	jac, jtjFlat, aFlat := take(m*n), take(n*n), take(n*n)
+	jac, jtj, a := take(m*n), take(n*n), take(n*n)
 	jtr, b, delta := take(n), take(n), take(n)
-	rows := make([][]float64, 2*n)
-	jtj, a := rows[:n:n], rows[n:]
-	for j := 0; j < n; j++ {
-		jtj[j] = jtjFlat[j*n : (j+1)*n : (j+1)*n]
-		a[j] = aFlat[j*n : (j+1)*n : (j+1)*n]
-	}
 	copy(p, start)
 
-	chi, ok := lmResiduals(f, xs, ys, p, r)
+	chi, ok := lmResiduals(evalAll, xs, ys, p, r)
 	if !ok {
 		return p, chi
 	}
 	lambda := opt.InitDamp
 
 	for iter := 0; iter < opt.MaxIter; iter++ {
-		// Forward-difference Jacobian.
+		// Forward-difference Jacobian, one column per parameter.
 		for j := 0; j < n; j++ {
+			col := jac[j*m : (j+1)*m]
 			h := 1e-7 * (math.Abs(p[j]) + 1e-7)
 			pj := p[j]
 			p[j] = pj + h
+			evalAll(p, xs, col)
+			p[j] = pj
 			bad := false
-			for i := range xs {
-				v := f(p, xs[i])
+			for i, v := range col {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					bad = true
 					break
 				}
-				jac[i*n+j] = (v - ys[i] - r[i]) / h
+				col[i] = (v - ys[i] - r[i]) / h
 			}
-			p[j] = pj
 			if bad {
 				// Retreat to a one-sided step in the other direction.
 				p[j] = pj - h
-				ok := true
-				for i := range xs {
-					v := f(p, xs[i])
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						ok = false
-						break
-					}
-					jac[i*n+j] = (r[i] - (v - ys[i])) / h
-				}
+				evalAll(p, xs, col)
 				p[j] = pj
-				if !ok {
-					return p, chi
+				for i, v := range col {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						return p, chi
+					}
+					col[i] = (r[i] - (v - ys[i])) / h
 				}
 			}
 		}
 
-		// Build JᵀJ and Jᵀr.
-		clear(jtjFlat)
-		clear(jtr)
-		for i := range xs {
-			row := jac[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				jtr[j] += row[j] * r[i]
-				for k := j; k < n; k++ {
-					jtj[j][k] += row[j] * row[k]
-				}
-			}
-		}
-		for j := 0; j < n; j++ {
-			for k := 0; k < j; k++ {
-				jtj[j][k] = jtj[k][j]
-			}
-		}
+		normalEquations(jac, r, jtj, jtr, m, n)
 
 		gradNorm := 0.0
 		for j := 0; j < n; j++ {
@@ -139,15 +117,15 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 		improved := false
 		for attempt := 0; attempt < 12; attempt++ {
 			// Damped system: (JᵀJ + λ diag(JᵀJ) + εI) δ = -Jᵀr. solveLinear
-			// clobbers a and b and may permute a's rows, so both are rebuilt
-			// in full on every attempt.
+			// clobbers a and b, so both are rebuilt in full on every
+			// attempt.
+			copy(a, jtj)
 			for j := 0; j < n; j++ {
-				copy(a[j], jtj[j])
-				d := jtj[j][j]
+				d := jtj[j*n+j]
 				if d == 0 {
 					d = 1e-12
 				}
-				a[j][j] += lambda*d + 1e-15
+				a[j*n+j] += lambda*d + 1e-15
 				b[j] = -jtr[j]
 			}
 			if err := solveLinear(a, b, delta); err != nil {
@@ -159,7 +137,7 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 				trial[j] = p[j] + delta[j]
 				stepNorm += delta[j] * delta[j]
 			}
-			tchi, ok := lmResiduals(f, xs, ys, trial, tr)
+			tchi, ok := lmResiduals(evalAll, xs, ys, trial, tr)
 			if ok && tchi < chi {
 				relDrop := (chi - tchi) / (chi + 1e-300)
 				p, trial = trial, p
@@ -182,4 +160,28 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 		}
 	}
 	return p, chi
+}
+
+// normalEquations fills the row-major n×n jtj with JᵀJ and jtr with Jᵀr,
+// where jac is the column-major m×n Jacobian. Every entry is one dot product
+// summed in a register over the points in order, the order the fitted bits
+// depend on; JᵀJ's upper triangle is computed and mirrored.
+func normalEquations(jac, r, jtj, jtr []float64, m, n int) {
+	for j := 0; j < n; j++ {
+		cj := jac[j*m : (j+1)*m]
+		rj := r[:len(cj)]
+		s := 0.0
+		for i, v := range cj {
+			s += v * rj[i]
+		}
+		jtr[j] = s
+		for k := j; k < n; k++ {
+			ck := jac[k*m:][:len(cj)]
+			s := 0.0
+			for i, v := range cj {
+				s += v * ck[i]
+			}
+			jtj[j*n+k], jtj[k*n+j] = s, s
+		}
+	}
 }

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// pointwise lifts a one-point model to the batched form LevenbergMarquardt
+// takes.
+func pointwise(f func(p []float64, x float64) float64) func(p, xs, out []float64) {
+	return func(p, xs, out []float64) {
+		for i, x := range xs {
+			out[i] = f(p, x)
+		}
+	}
+}
+
 func TestLMRecoversExponential(t *testing.T) {
 	// y = exp(0.5 + 0.1x), an exact member of the ExpRat family (c=1, d=0).
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -13,7 +23,7 @@ func TestLMRecoversExponential(t *testing.T) {
 		ys[i] = math.Exp(0.5 + 0.1*x)
 	}
 	start := []float64{0, 0, 1, 0}
-	p, chi := LevenbergMarquardt(ExpRat.Eval, xs, ys, start)
+	p, chi := LevenbergMarquardt(ExpRat.EvalAll, xs, ys, start)
 	if chi > 1e-8 {
 		t.Fatalf("chi = %v, want near zero (params %v)", chi, p)
 	}
@@ -37,7 +47,7 @@ func TestLMRecoversRational(t *testing.T) {
 	best := math.Inf(1)
 	var bestP []float64
 	for _, s := range starts {
-		p, chi := LevenbergMarquardt(Rat22.Eval, xs, ys, s)
+		p, chi := LevenbergMarquardt(Rat22.EvalAll, xs, ys, s)
 		if chi < best {
 			best, bestP = chi, p
 		}
@@ -68,7 +78,7 @@ func TestLMImprovesOnStart(t *testing.T) {
 		}
 		return s
 	}
-	p, chi := LevenbergMarquardt(f, xs, ys, start)
+	p, chi := LevenbergMarquardt(pointwise(f), xs, ys, start)
 	if chi >= chiAt(start) {
 		t.Errorf("LM did not improve: %v >= %v", chi, chiAt(start))
 	}
@@ -84,7 +94,7 @@ func TestLMHandlesNaNStart(t *testing.T) {
 	f := func(p []float64, x float64) float64 {
 		return math.Sqrt(p[0]) * x // NaN for negative p[0]
 	}
-	p, chi := LevenbergMarquardt(f, xs, ys, []float64{-1})
+	p, chi := LevenbergMarquardt(pointwise(f), xs, ys, []float64{-1})
 	if len(p) != 1 {
 		t.Fatal("params length changed")
 	}
@@ -98,7 +108,7 @@ func TestLMZeroResidualStart(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}
 	f := func(p []float64, x float64) float64 { return p[0] * x }
-	p, chi := LevenbergMarquardt(f, xs, ys, []float64{2})
+	p, chi := LevenbergMarquardt(pointwise(f), xs, ys, []float64{2})
 	if chi > 1e-20 {
 		t.Errorf("chi = %v at exact optimum", chi)
 	}
