@@ -169,7 +169,7 @@ func runServeBench(ctx context.Context, scale float64, outDir string) error {
 		errs := make([]int, clients)
 		rejects := make([]int, clients)
 		start := time.Now()
-		pool.ForN(clients, clients, func(ci int) {
+		err := pool.Run(ctx, clients, clients, nil, func(_, ci int) {
 			for r := 0; r < perClient; r++ {
 				if ctx.Err() != nil {
 					return
@@ -186,7 +186,7 @@ func runServeBench(ctx context.Context, scale float64, outDir string) error {
 			}
 		})
 		elapsed := time.Since(start).Seconds()
-		if err := ctx.Err(); err != nil {
+		if err != nil {
 			return err
 		}
 		var all []float64

@@ -6,13 +6,14 @@
 // (service.RouteKey over the spec-canonical workload and machine names —
 // the PR 5 identity layer makes sharding free): every request for one
 // scenario lands on the worker whose store and memos already hold it.
-// Sweeps are planned locally (service.PlanSweep — identical validation,
-// identical plan order), fanned out one cell per worker request, and merged
-// plan-index-order-stable, so coordinator responses are byte-identical to
-// single-process ones; the conformance suite locks that. Overlapping
-// requests from different clients coalesce in internal/flight groups
-// before they ever reach a worker. Workers that fail probes or
-// requests are routed around via the ring's successor order, with the
+// Sweeps and explores run through the embedded local service's cell seam
+// (service.SweepStreamWith, service.ExploreWith — identical validation,
+// identical plan order, identical summaries) with only each cell's
+// execution substituted by one worker request, so coordinator responses
+// are byte-identical to single-process ones; the conformance suite locks
+// that. Overlapping requests from different clients coalesce in
+// internal/flight groups before they ever reach a worker. Workers that fail
+// probes or requests are routed around via the ring's successor order, with the
 // coordinator's own embedded Service as the last resort — degraded service
 // is cold and slower but never wrong, because every result is
 // deterministic.
@@ -82,8 +83,8 @@ type Coordinator struct {
 	client  *http.Client
 
 	// relayFlights coalesces identical relayed requests (key: path + raw
-	// body); cellFlights coalesces sweep cells by fit identity (key:
-	// PlannedCell.FitKey), which also catches *overlapping* grids whose
+	// body); cellFlights coalesces sweep and explore cells by fit identity
+	// (key: CellJob.FitKey), which also catches *overlapping* grids whose
 	// bodies differ. Neither retains results: the workers' store, series
 	// memo and fit memo are the durable layers, so these hold exactly the
 	// currently running requests.

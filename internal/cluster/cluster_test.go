@@ -33,6 +33,21 @@ func encodeNDJSON(t *testing.T, lines []service.SweepStreamLine) []byte {
 	return buf.Bytes()
 }
 
+// sweep collects the coordinator's stream into the cells and failure count
+// of a plain sweep response.
+func sweep(ctx context.Context, c *Coordinator, req service.SweepRequest) (*service.SweepResponse, error) {
+	resp := &service.SweepResponse{}
+	sum, err := c.SweepStream(ctx, req, func(cell service.SweepCell) error {
+		resp.Cells = append(resp.Cells, cell)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	resp.Failures = sum.Failures
+	return resp, nil
+}
+
 // TestWorkerKillMidSweep is the degraded-operation lock, run under -race in
 // CI: one worker dies after the first cell lands, and the sweep must still
 // complete with bytes identical to the single-process golden — the dead
@@ -214,7 +229,7 @@ func TestOverlappingSweepsShareCells(t *testing.T) {
 	f := newFleet(t, 2, blocking)
 
 	run := func(workloads []string, out chan<- *service.SweepResponse) {
-		resp, err := f.coord.Sweep(bg, service.SweepRequest{
+		resp, err := sweep(bg, f.coord, service.SweepRequest{
 			Workloads: workloads, Machines: []string{"Haswell"}, Scale: 0.05,
 		})
 		if err != nil {
@@ -305,7 +320,7 @@ func TestAbandonedCellFlightIsNotInherited(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(bg)
 	errA := make(chan error, 1)
 	go func() {
-		_, err := coord.Sweep(ctxA, req)
+		_, err := sweep(ctxA, coord, req)
 		errA <- err
 	}()
 	<-entered
@@ -316,7 +331,7 @@ func TestAbandonedCellFlightIsNotInherited(t *testing.T) {
 
 	respB := make(chan *service.SweepResponse, 1)
 	go func() {
-		resp, err := coord.Sweep(bg, req)
+		resp, err := sweep(bg, coord, req)
 		if err != nil {
 			t.Error(err)
 		}

@@ -34,7 +34,7 @@ func NewHandler(c *Coordinator, cfg service.ServerConfig) http.Handler {
 		service.WriteJSON(w, http.StatusOK, c.Ready(r.Context(), gate))
 	})
 	mux.Handle("POST /v1/predict", gate.Wrap("predict", c.relayHandler("/v1/predict", service.PredictHandler(local))))
-	mux.Handle("POST /v1/sweep", gate.Wrap("sweep", service.NewSweepHandler(c.Sweep, c.SweepStream)))
+	mux.Handle("POST /v1/sweep", gate.Wrap("sweep", service.NewSweepHandler(c.SweepStream)))
 	mux.Handle("POST /v1/collect", gate.Wrap("collect", c.relayHandler("/v1/collect", service.CollectHandler(local))))
 	mux.Handle("POST /v1/curve", gate.Wrap("curve", c.relayHandler("/v1/curve", service.CurveHandler(local))))
 	mux.Handle("POST /v1/cell", gate.Wrap("cell", c.relayHandler("/v1/cell", service.CellHandler(local))))
@@ -89,7 +89,9 @@ const readyFanout = 8
 func (c *Coordinator) Ready(ctx context.Context, gate *service.Gate) *service.ReadyResponse {
 	shares := c.ring.Shares()
 	workerInfo := make([]service.WorkerReady, len(c.workers))
-	pool.ForN(len(c.workers), readyFanout, func(i int) {
+	// A cancelled ctx leaves undispatched entries empty: nobody is left to
+	// read them.
+	pool.Run(ctx, len(c.workers), readyFanout, nil, func(_, i int) {
 		wr := service.WorkerReady{
 			Addr:    c.workers[i],
 			Healthy: c.healthy[i].Load(),

@@ -83,7 +83,7 @@ func (pl *Pipeline) bootstrap(ctx context.Context, series *counters.Series, ex *
 	facRes := residuals(p.FactorFit, xs, factor)
 
 	reps := make([]bootRep, n)
-	if err := pl.runIndexed(ctx, n, func(r int) {
+	if err := pl.run(ctx, n, func(r int) {
 		reps[r] = pl.oneReplicate(rand.New(rand.NewSource(seed+int64(r))),
 			xs, targets, fitted, catFits, catRes, p.FactorFit, factor, facRes, scale, freq)
 	}); err != nil {

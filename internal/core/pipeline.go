@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/counters"
 	"repro/internal/fit"
+	"repro/internal/pool"
 )
 
 // Pipeline is the staged form of the §3 prediction pipeline. Each stage is
@@ -36,66 +35,13 @@ func NewPipeline(opt Options) *Pipeline {
 	return &Pipeline{opt: opt}
 }
 
-// workers bounds the stage fan-out: Options.Workers (default
-// GOMAXPROCS), never more than the number of independent work items.
-func (pl *Pipeline) workers(items int) int {
-	w := pl.opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > items {
-		w = items
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runIndexed fans fn(i) for i in [0, n) across the pipeline's worker pool
-// and waits for all of them. fn writes results by index, so completion
-// order never affects the outcome. Cancelling ctx stops dispatching new
-// items, drains the workers, and returns ctx.Err(); items already handed to
-// a worker finish (each is one fit or one bootstrap replicate, bounded
-// work), so the pool never leaks goroutines. fn must not call runIndexed:
-// a nested pool would hold a Gate slot while waiting for more, which
-// deadlocks once the gate is full.
-func (pl *Pipeline) runIndexed(ctx context.Context, n int, fn func(i int)) error {
-	next := make(chan int)
-	gate := pl.opt.Gate
-	var wg sync.WaitGroup
-	for w := 0; w < pl.workers(n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain without doing the work
-				}
-				if gate != nil {
-					select {
-					case gate <- struct{}{}:
-					case <-ctx.Done():
-						continue
-					}
-				}
-				fn(i)
-				if gate != nil {
-					<-gate
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			i = n // stop dispatching
-		}
-	}
-	close(next)
-	wg.Wait()
-	return ctx.Err()
+// run fans fn(i) for i in [0, n) across the pipeline's worker pool
+// (Options.Workers wide, gated by Options.Gate) and waits for all of them.
+// fn writes results by index, so completion order never affects the
+// outcome; cancelling ctx returns ctx.Err(). fn must not call run: see
+// package pool on nesting.
+func (pl *Pipeline) run(ctx context.Context, n int, fn func(i int)) error {
+	return pool.Run(ctx, n, pl.opt.Workers, pl.opt.Gate, func(_, i int) { fn(i) })
 }
 
 // fitOptions is the fit configuration shared by the extrapolation and
@@ -254,7 +200,7 @@ func (pl *Pipeline) Extrapolate(ctx context.Context, series *counters.Series, ta
 			tasks = append(tasks, task{s, i})
 		}
 	}
-	if err := pl.runIndexed(ctx, len(tasks), func(t int) {
+	if err := pl.run(ctx, len(tasks), func(t int) {
 		tasks[t].s.Run(tasks[t].i)
 	}); err != nil {
 		return nil, err
@@ -329,7 +275,7 @@ func (pl *Pipeline) SelectFactor(ctx context.Context, series *counters.Series, t
 	if err != nil {
 		return nil, fmt.Errorf("core: fitting scaling factor for %s: %w", series.Workload, err)
 	}
-	if err := pl.runIndexed(ctx, s.Len(), s.Run); err != nil {
+	if err := pl.run(ctx, s.Len(), s.Run); err != nil {
 		return nil, err
 	}
 	cands, err := s.Candidates()

@@ -153,8 +153,9 @@ type SweepRequest struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Soft includes software stall categories.
 	Soft bool `json:"soft,omitempty"`
-	// Workers bounds the job-level worker pool; 0 means the service's
-	// Config.Workers.
+	// Workers narrows the cell pool; 0, or anything above the service's
+	// Config.Workers, means Config.Workers: a client may lower the width,
+	// never raise it.
 	Workers int `json:"workers,omitempty"`
 	// Bootstrap / CILevel enable confidence bands per cell; Seed picks the
 	// deterministic bootstrap resampling stream (0 means the default seed).

@@ -24,7 +24,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/spec"
 	"repro/internal/workloads"
 )
@@ -70,7 +69,8 @@ type ExploreRequest struct {
 	Bootstrap int     `json:"bootstrap,omitempty"`
 	CILevel   float64 `json:"ci_level,omitempty"`
 	Seed      int64   `json:"seed,omitempty"`
-	// Workers bounds the per-round worker pool; 0 means the service default.
+	// Workers narrows the per-round cell pool; 0, or anything above the
+	// service's Config.Workers, means Config.Workers.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -142,48 +142,9 @@ type ExploreResponse struct {
 	Failures        int            `json:"failures"`
 }
 
-// ExploreCellJob is one cell the planner decided to simulate, fully
-// resolved: the exact CellRequest to execute plus the routing and dedup
-// identities the cluster coordinator fans out by. Jobs are built in one
-// place — here — so the single-process and coordinator tiers execute
-// byte-identical requests by construction.
-type ExploreCellJob struct {
-	// Index is the cell's position in plan (= response) order.
-	Index    int
-	Req      CellRequest
-	RouteKey string
-	FitKey   string
-}
-
-// ExploreRunner executes one round's batch and returns one SweepCell per
-// job, positionally. Execution failures are recorded in the cell's Error,
-// never returned: an error return means the whole explore is over
-// (cancellation). The service's own runner is a bounded local pool; the
-// cluster coordinator substitutes its per-cell fleet fan-out.
-type ExploreRunner func(ctx context.Context, jobs []ExploreCellJob, workers int) ([]SweepCell, error)
-
 // Explore answers an ExploreRequest in process.
 func (s *Service) Explore(ctx context.Context, req ExploreRequest) (*ExploreResponse, error) {
-	return s.ExploreWith(ctx, req, s.runExploreBatch)
-}
-
-// runExploreBatch executes one batch through the local planner path,
-// bounded by the plan's worker count.
-func (s *Service) runExploreBatch(ctx context.Context, jobs []ExploreCellJob, workers int) ([]SweepCell, error) {
-	out := make([]SweepCell, len(jobs))
-	pool.ForN(len(jobs), workers, func(i int) {
-		resp, err := s.Cell(ctx, jobs[i].Req)
-		if err != nil {
-			out[i] = SweepCell{Workload: jobs[i].Req.Workload, Machine: jobs[i].Req.Machine,
-				MeasCores: jobs[i].Req.MeasCores, Error: err.Error()}
-			return
-		}
-		out[i] = resp.Cell
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.ExploreWith(ctx, req, s.runCell)
 }
 
 // exploreCellState is the planner's working state for one region cell.
@@ -201,11 +162,11 @@ type exploreCellState struct {
 	estOK                 bool
 }
 
-// ExploreWith is Explore with a pluggable batch runner — the seam the
-// cluster coordinator uses to keep every planning decision (validation,
-// grid order, seeding, acquisition, estimation) in exactly one place while
-// substituting its fleet fan-out for cell execution.
-func (s *Service) ExploreWith(ctx context.Context, req ExploreRequest, run ExploreRunner) (*ExploreResponse, error) {
+// ExploreWith is Explore with a pluggable CellRunner — the seam sweeps
+// share, which the cluster coordinator uses to keep every planning decision
+// (validation, grid order, seeding, acquisition, estimation) in exactly one
+// place while substituting its fleet fan-out for cell execution.
+func (s *Service) ExploreWith(ctx context.Context, req ExploreRequest, run CellRunner) (*ExploreResponse, error) {
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
 	}
@@ -273,27 +234,28 @@ func (s *Service) ExploreWith(ctx context.Context, req ExploreRequest, run Explo
 	// family's own typed schema, so distance needs no reflection and no
 	// per-key scale guessing. Every cell shares one family (the region is
 	// one grid spec), hence one schema.
-	schema := familySchema(spec.Family(plan.cells[0].workload))
+	first := plan.cells[0]
+	schema := familySchema(spec.Family(first.Req.Workload))
 	states := make([]*exploreCellState, n)
 	for i, pc := range plan.cells {
-		sp, err := spec.Parse(pc.workload)
+		sp, err := spec.Parse(pc.Req.Workload)
 		if err != nil {
-			return nil, badRequest("region cell %q: %v", pc.workload, err)
+			return nil, badRequest("region cell %q: %v", pc.Req.Workload, err)
 		}
 		vals, err := schema.Resolve(sp)
 		if err != nil {
-			return nil, badRequest("region cell %q: %v", pc.workload, err)
+			return nil, badRequest("region cell %q: %v", pc.Req.Workload, err)
 		}
-		states[i] = &exploreCellState{workload: pc.workload, point: schema.Point(vals)}
+		states[i] = &exploreCellState{workload: pc.Req.Workload, point: schema.Point(vals)}
 	}
 
 	resp := &ExploreResponse{
 		APIVersion:    APIVersion,
 		Workload:      canonicalRegion(req.Workload),
 		Machine:       plan.machineNames[0],
-		MeasCores:     plan.cells[0].measCores,
-		Scale:         plan.cells[0].scale,
-		TargetCores:   plan.cells[0].mach.NumCores(),
+		MeasCores:     first.Req.MeasCores,
+		Scale:         first.Req.Scale,
+		TargetCores:   first.targetCores,
 		TargetBandPct: target,
 		Budget:        budget,
 		RoundSize:     roundSize,
@@ -304,45 +266,23 @@ func (s *Service) ExploreWith(ctx context.Context, req ExploreRequest, run Explo
 		FullGridSims:  n,
 	}
 
-	jobFor := func(i int) ExploreCellJob {
-		pc := plan.cells[i]
-		return ExploreCellJob{
-			Index: i,
-			Req: CellRequest{
-				Workload:  pc.workload,
-				Machine:   pc.mach.Name,
-				MeasCores: pc.measCores,
-				Scale:     pc.scale,
-				Soft:      req.Soft,
-				Bootstrap: boot,
-				CILevel:   req.CILevel,
-				Seed:      req.Seed,
-			},
-			RouteKey: RouteKey(pc.workload, pc.mach.Name),
-			FitKey:   pc.fitID,
-		}
-	}
-
 	batch := seedBatch(states, min(roundSize, budget))
 	maxEst := 0.0 // the estimate that triggered the batch; 0 for the seed
 	for round := 1; len(batch) > 0; round++ {
-		jobs := make([]ExploreCellJob, len(batch))
+		cells := make([]planCell, len(batch))
 		simulated := make([]string, len(batch))
 		for bi, i := range batch {
-			jobs[bi] = jobFor(i)
+			cells[bi] = plan.cells[i]
 			simulated[bi] = states[i].workload
 		}
-		out, err := run(ctx, jobs, plan.workers)
-		if err != nil {
+		bi := 0
+		if err := runCells(ctx, cells, plan.workers, run, func(c SweepCell) error {
+			st := states[batch[bi]]
+			st.measured, st.round, st.cell = true, round, c
+			bi++
+			return nil
+		}); err != nil {
 			return nil, err
-		}
-		if len(out) != len(jobs) {
-			return nil, fmt.Errorf("explore runner returned %d cells for %d jobs", len(out), len(jobs))
-		}
-		for bi, i := range batch {
-			states[i].measured = true
-			states[i].round = round
-			states[i].cell = out[bi]
 		}
 		resp.SimsUsed += len(batch)
 		resp.Rounds = append(resp.Rounds, ExploreRound{

@@ -244,7 +244,7 @@ func NewHandler(svc *Service, cfg ServerConfig) http.Handler {
 		})
 	})
 	mux.Handle("POST /v1/predict", gate.Wrap("predict", PredictHandler(svc)))
-	mux.Handle("POST /v1/sweep", gate.Wrap("sweep", NewSweepHandler(svc.Sweep, svc.SweepStream)))
+	mux.Handle("POST /v1/sweep", gate.Wrap("sweep", NewSweepHandler(svc.SweepStream)))
 	mux.Handle("POST /v1/collect", gate.Wrap("collect", CollectHandler(svc)))
 	mux.Handle("POST /v1/curve", gate.Wrap("curve", CurveHandler(svc)))
 	mux.Handle("POST /v1/cell", gate.Wrap("cell", CellHandler(svc)))
@@ -352,19 +352,18 @@ func wantSchemas(r *http.Request) bool {
 	return true
 }
 
-// NewSweepHandler serves POST /v1/sweep over any sweep implementation — the
-// Service's own, or the coordinator's fleet fan-out, which therefore streams
-// byte-identical NDJSON by construction. Without a stream parameter it is
-// the plain buffered request/response exchange; with ?stream=ndjson it
-// streams one SweepStreamLine per finished cell — in deterministic plan
-// order, each flushed as it completes — plus a final summary line, so a
-// client watching a long sweep sees cells as they land instead of one
-// response at the end.
-func NewSweepHandler(
-	sweep func(context.Context, SweepRequest) (*SweepResponse, error),
-	stream func(context.Context, SweepRequest, func(SweepCell) error) (*SweepSummary, error),
-) http.Handler {
-	plain := handleJSON(sweep)
+// NewSweepHandler serves POST /v1/sweep over any streaming sweep — the
+// Service's own, or the coordinator's fleet fan-out, which therefore
+// answers byte-identical bodies by construction. Without a stream parameter
+// it is the plain request/response exchange, the stream buffered; with
+// ?stream=ndjson it streams one SweepStreamLine per finished cell — in
+// deterministic plan order, each flushed as it completes — plus a final
+// summary line, so a client watching a long sweep sees cells as they land
+// instead of one response at the end.
+func NewSweepHandler(stream func(context.Context, SweepRequest, func(SweepCell) error) (*SweepSummary, error)) http.Handler {
+	plain := handleJSON(func(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
+		return bufferSweep(ctx, req, stream)
+	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Query().Get("stream") {
 		case "":

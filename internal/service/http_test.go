@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/sim"
+	"repro/internal/workloads"
 )
 
 // update regenerates the golden response files instead of comparing:
@@ -292,5 +294,81 @@ func TestHTTPRequestCancellationStopsPipeline(t *testing.T) {
 	}
 	if err := <-clientDone; err == nil {
 		t.Error("client should have observed a cancellation error")
+	}
+}
+
+// TestSweepWorkersCappedAtServiceWorkers: the cell pool width of a sweep is
+// the server's to set. A request may narrow it, but a huge "workers" in
+// the body must not start more cells than Config.Workers. Every cell
+// blocks in a stub collection until released; a cell is in flight from its
+// fit's start until its collection returns.
+func TestSweepWorkersCappedAtServiceWorkers(t *testing.T) {
+	wls, _ := json.Marshal(workloads.Table4Names()[:8])
+	for _, tc := range []struct {
+		workers, want int
+	}{
+		{workers: 1048576, want: 2},
+		{workers: 1, want: 1},
+	} {
+		t.Run(fmt.Sprint(tc.workers), func(t *testing.T) {
+			release := make(chan struct{})
+			var mu sync.Mutex
+			started, finished, peak := 0, 0, 0
+			stub := func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error) {
+				<-release
+				mu.Lock()
+				finished++
+				mu.Unlock()
+				return counters.Sample{}, errors.New("stub collection")
+			}
+			svc := newTestService(t, Config{Workers: 2, CollectSample: stub})
+			svc.fitHook = func(string) {
+				mu.Lock()
+				started++
+				peak = max(peak, started-finished)
+				mu.Unlock()
+			}
+			inFlight := func() int {
+				mu.Lock()
+				defer mu.Unlock()
+				return started - finished
+			}
+
+			type result struct {
+				code int
+				body []byte
+			}
+			done := make(chan result, 1)
+			go func() {
+				body := fmt.Sprintf(`{"workloads":%s,"machines":["Haswell"],"meas_cores":1,"scale":0.05,"workers":%d}`, wls, tc.workers)
+				code, b := do(t, NewHandler(svc, ServerConfig{}), "POST", "/v1/sweep", body)
+				done <- result{code, b}
+			}()
+			// Wait for the pool to fill, then give any cell beyond the cap
+			// time to start before releasing the collections.
+			deadline := time.Now().Add(10 * time.Second)
+			for inFlight() < tc.want && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			for end := time.Now().Add(200 * time.Millisecond); inFlight() <= tc.want && time.Now().Before(end); {
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			res := <-done
+
+			if res.code != http.StatusOK {
+				t.Fatalf("status %d: %s", res.code, res.body)
+			}
+			var resp SweepResponse
+			if err := json.Unmarshal(res.body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Cells) != 8 || resp.Failures != 8 {
+				t.Errorf("sweep answered %d cells with %d failures, want 8 stubbed failures", len(resp.Cells), resp.Failures)
+			}
+			if peak != tc.want {
+				t.Errorf(`"workers": %d ran %d cells at once on a Workers: 2 service, want %d`, tc.workers, peak, tc.want)
+			}
+		})
 	}
 }

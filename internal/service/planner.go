@@ -18,10 +18,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -165,18 +165,46 @@ func (s *Service) predicted(ctx context.Context, w sim.Workload, m *machine.Conf
 	return res.pred, res.seriesHit, err
 }
 
-// planCell is one cell of a decomposed sweep: the collect step is its
-// series key, the fit+predict step its artifact key.
+// CellJob is one planned cell, fully resolved: the exact CellRequest to
+// execute (canonical names, MeasCores and Scale never zero) plus the
+// routing and dedup identities the cluster coordinator fans out by. Jobs
+// are built in one place — planSweep — so every tier executes
+// byte-identical requests by construction.
+type CellJob struct {
+	// Index is the cell's position in plan (= response) order.
+	Index int
+	Req   CellRequest
+	// RouteKey shards the cell onto a worker; FitKey identifies its
+	// fit+predict step, so cells sharing one (overlapping grids, possibly
+	// from different clients) can share one execution.
+	RouteKey string
+	FitKey   string
+}
+
+// CellRunner executes one planned cell. Execution failures belong in the
+// returned cell's Error, exactly as Cell records them; an error return
+// (cancellation, an executor that cannot answer) becomes the cell's Error
+// through planCell.errorCell. The service's own runner is Cell, the path
+// /v1/cell serves; the cluster coordinator substitutes its fleet fan-out.
+type CellRunner func(ctx context.Context, job CellJob) (SweepCell, error)
+
+// planCell is one cell of a decomposed sweep: its job, plus the target core
+// count an error cell reports.
 type planCell struct {
-	workload  string
-	w         sim.Workload
-	mach      *machine.Config
-	measCores int
-	scale     float64
-	targets   []int
-	opt       core.Options
-	seriesID  store.Key
-	fitID     string
+	CellJob
+	targetCores int
+}
+
+// errorCell is the cell a runner error leaves behind: the planned
+// coordinates and the error, nothing measured.
+func (pc planCell) errorCell(err error) SweepCell {
+	return SweepCell{
+		Workload:    pc.Req.Workload,
+		Machine:     pc.Req.Machine,
+		MeasCores:   pc.Req.MeasCores,
+		TargetCores: pc.targetCores,
+		Error:       err.Error(),
+	}
 }
 
 // sweepPlan is a SweepRequest decomposed into deduplicated steps.
@@ -191,6 +219,28 @@ type sweepPlan struct {
 	distinctFits   int
 }
 
+// cellOptions validates a cell's bootstrap options and returns the
+// core.Options every sweep, explore and /v1/cell cell is predicted with.
+// Workers is 1: parallelism lives at the cell level; letting every
+// concurrent cell open its own GOMAXPROCS-wide fitting pool would
+// oversubscribe the machine by workers × GOMAXPROCS. The service gate
+// additionally bounds total fitting work across in-flight requests.
+func cellOptions(soft bool, bootstrap int, ciLevel float64, seed int64) (core.Options, error) {
+	if bootstrap < 0 {
+		return core.Options{}, badRequest("negative bootstrap count %d", bootstrap)
+	}
+	if ciLevel != 0 && (ciLevel <= 0 || ciLevel >= 100) {
+		return core.Options{}, badRequest("confidence level %g%% outside (0, 100)", ciLevel)
+	}
+	return core.Options{
+		UseSoftware: soft,
+		Bootstrap:   bootstrap,
+		CILevel:     ciLevel,
+		Seed:        seed,
+		Workers:     1,
+	}, nil
+}
+
 // planSweep validates a SweepRequest and decomposes it into the cell DAG.
 // Validation order (version, bootstrap options, workloads, machines) is part
 // of the API surface: it decides which error a doubly bad request reports.
@@ -198,11 +248,9 @@ func (s *Service) planSweep(req SweepRequest) (*sweepPlan, error) {
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
 	}
-	if req.Bootstrap < 0 {
-		return nil, badRequest("negative bootstrap count %d", req.Bootstrap)
-	}
-	if req.CILevel != 0 && (req.CILevel <= 0 || req.CILevel >= 100) {
-		return nil, badRequest("confidence level %g%% outside (0, 100)", req.CILevel)
+	opt, err := cellOptions(req.Soft, req.Bootstrap, req.CILevel, req.Seed)
+	if err != nil {
+		return nil, err
 	}
 	// Sweeps accept value grids: each requested workload or machine entry
 	// is a spec whose repeated keys expand into one instance per
@@ -214,7 +262,6 @@ func (s *Service) planSweep(req SweepRequest) (*sweepPlan, error) {
 		wlSpecs = workloads.Table4Names()
 	}
 	var wls []string
-	var ws []sim.Workload
 	for _, entry := range wlSpecs {
 		insts, err := expandGrid(entry)
 		if err != nil {
@@ -233,7 +280,6 @@ func (s *Service) planSweep(req SweepRequest) (*sweepPlan, error) {
 				continue
 			}
 			seen[w.Name()] = true
-			ws = append(ws, w)
 			wls = append(wls, w.Name())
 			// More workloads than the total cell cap can never form a
 			// valid matrix (there is at least one machine); stop expanding
@@ -291,53 +337,49 @@ func (s *Service) planSweep(req SweepRequest) (*sweepPlan, error) {
 	}
 	seriesSeen := map[store.Key]bool{}
 	fitSeen := map[string]bool{}
-	for wi, wl := range wls {
+	for _, wl := range wls {
 		for mi, m := range machs {
 			measCores := req.MeasCores
 			if measCores <= 0 {
 				measCores = m.OneProcessorCores()
 			}
-			// Workers: 1 — parallelism lives at the cell level; letting every
-			// concurrent cell open its own GOMAXPROCS-wide fitting pool would
-			// oversubscribe the machine by workers × GOMAXPROCS. The service gate
-			// additionally bounds total fitting work across in-flight
-			// requests.
-			cell := planCell{
-				workload:  wl,
-				w:         ws[wi],
-				mach:      m,
-				measCores: measCores,
-				scale:     scale,
-				targets:   machTargets[mi],
-				opt: core.Options{
-					UseSoftware: req.Soft,
-					Bootstrap:   req.Bootstrap,
-					CILevel:     req.CILevel,
-					Seed:        req.Seed,
-					Workers:     1,
-				},
-			}
-			cell.seriesID = seriesKey(wl, m.Name, measCores, scale)
-			cell.fitID = artifactKey(cell.seriesID, cell.targets, cell.opt)
-			if !seriesSeen[cell.seriesID] {
-				seriesSeen[cell.seriesID] = true
+			seriesID := seriesKey(wl, m.Name, measCores, scale)
+			fitID := artifactKey(seriesID, machTargets[mi], opt)
+			if !seriesSeen[seriesID] {
+				seriesSeen[seriesID] = true
 				plan.distinctSeries++
 			}
-			if !fitSeen[cell.fitID] {
-				fitSeen[cell.fitID] = true
+			if !fitSeen[fitID] {
+				fitSeen[fitID] = true
 				plan.distinctFits++
 			}
-			plan.cells = append(plan.cells, cell)
+			plan.cells = append(plan.cells, planCell{
+				CellJob: CellJob{
+					Index: len(plan.cells),
+					Req: CellRequest{
+						Workload:  wl,
+						Machine:   m.Name,
+						MeasCores: measCores,
+						Scale:     scale,
+						Soft:      req.Soft,
+						Bootstrap: req.Bootstrap,
+						CILevel:   req.CILevel,
+						Seed:      req.Seed,
+					},
+					RouteKey: RouteKey(wl, m.Name),
+					FitKey:   fitID,
+				},
+				targetCores: m.NumCores(),
+			})
 		}
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
+	// The client may narrow the cell pool, never widen it past the
+	// service's own width: a request body must not decide how many cells
+	// (and, under the coordinator, worker relays) run at once.
+	plan.workers = s.cfg.Workers
+	if req.Workers > 0 && req.Workers < plan.workers {
+		plan.workers = req.Workers
 	}
-	if workers > len(plan.cells) {
-		workers = len(plan.cells)
-	}
-	plan.workers = workers
 	return plan, nil
 }
 
@@ -354,134 +396,104 @@ func RouteKey(workload, machine string) string {
 	return workload + "\x00" + machine
 }
 
-// PlannedCell is one routable unit of a planned sweep: the resolved cell
-// coordinates plus its routing and dedup identities.
-type PlannedCell struct {
-	// Workload and Machine are canonical spec names; MeasCores and Scale are
-	// resolved (never zero).
-	Workload  string
-	Machine   string
-	MeasCores int
-	Scale     float64
-	// RouteKey shards the cell onto a worker; FitKey identifies its
-	// fit+predict step, so cells sharing one (overlapping grids, possibly
-	// from different clients) can share one execution.
-	RouteKey string
-	FitKey   string
-}
-
-// PlannedSweep is the coordinator's view of a validated, decomposed
-// SweepRequest: every cell in deterministic plan order (workload-major,
-// machine-minor — the order the merged stream must reproduce) plus the
-// summary counts the final record reports.
-type PlannedSweep struct {
-	Workloads      []string
-	Machines       []string
-	Cells          []PlannedCell
-	Workers        int
-	DistinctSeries int
-	DistinctFits   int
-}
-
-// PlanSweep validates and decomposes a SweepRequest without executing it —
-// the cluster coordinator plans locally, routes each cell to the worker
-// owning its RouteKey, and merges. Identical validation and identical plan
-// order are what make coordinator responses byte-identical to
-// single-process ones.
-func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
-	plan, err := s.planSweep(req)
-	if err != nil {
-		return nil, err
-	}
-	out := &PlannedSweep{
-		Workloads:      plan.workloads,
-		Machines:       plan.machineNames,
-		Cells:          make([]PlannedCell, len(plan.cells)),
-		Workers:        plan.workers,
-		DistinctSeries: plan.distinctSeries,
-		DistinctFits:   plan.distinctFits,
-	}
-	for i, pc := range plan.cells {
-		out.Cells[i] = PlannedCell{
-			Workload:  pc.workload,
-			Machine:   pc.mach.Name,
-			MeasCores: pc.measCores,
-			Scale:     pc.scale,
-			RouteKey:  RouteKey(pc.workload, pc.mach.Name),
-			FitKey:    pc.fitID,
-		}
-	}
-	return out, nil
-}
-
-// Cell answers a CellRequest: exactly one sweep cell, executed through the
-// same planner path as a cell inside a sweep, so the resulting SweepCell is
-// byte-identical to the one a single-process sweep would emit. Validation
-// mirrors planSweep's option checks; execution failures are recorded in the
-// cell, not returned (the coordinator merges them into streams).
+// Cell answers a CellRequest: exactly one sweep cell, predicted through the
+// same fitted-model memo as every other entry point. It is also the
+// service's own CellRunner, so the cell a single-process sweep emits and
+// the one a worker answers /v1/cell with are the same code. Its option
+// checks are planSweep's (cellOptions); execution failures are recorded in
+// the cell, not returned: one pathological pair must not sink the matrix.
 func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, error) {
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
 	}
-	if req.Bootstrap < 0 {
-		return nil, badRequest("negative bootstrap count %d", req.Bootstrap)
-	}
-	if req.CILevel != 0 && (req.CILevel <= 0 || req.CILevel >= 100) {
-		return nil, badRequest("confidence level %g%% outside (0, 100)", req.CILevel)
+	opt, err := cellOptions(req.Soft, req.Bootstrap, req.CILevel, req.Seed)
+	if err != nil {
+		return nil, err
 	}
 	w, m, err := resolve(req.Workload, req.Machine)
 	if err != nil {
 		return nil, err
 	}
-	measCores := req.MeasCores
-	if measCores <= 0 {
-		measCores = m.OneProcessorCores()
+	cell := SweepCell{
+		Workload:    w.Name(),
+		Machine:     m.Name,
+		MeasCores:   req.MeasCores,
+		TargetCores: m.NumCores(),
 	}
-	pc := planCell{
-		workload:  w.Name(),
-		w:         w,
-		mach:      m,
-		measCores: measCores,
-		scale:     defaultScale(req.Scale),
-		targets:   sim.CoreRange(m.NumCores()),
-		opt: core.Options{
-			UseSoftware: req.Soft,
-			Bootstrap:   req.Bootstrap,
-			CILevel:     req.CILevel,
-			Seed:        req.Seed,
-			Workers:     1,
-		},
+	if cell.MeasCores <= 0 {
+		cell.MeasCores = m.OneProcessorCores()
 	}
-	cell := s.runPlanCell(ctx, pc)
+	pred, hit, err := s.predicted(ctx, w, m, cell.MeasCores, defaultScale(req.Scale), sim.CoreRange(m.NumCores()), opt)
+	cell.CacheHit = hit
+	if err != nil {
+		cell.Error = err.Error()
+	} else {
+		cell.Stop = pred.ScalingStop()
+		cell.TimeFull = pred.Time[len(pred.Time)-1]
+		if pred.TimeLo != nil {
+			cell.TimeLo = pred.TimeLo[len(pred.TimeLo)-1]
+			cell.TimeHi = pred.TimeHi[len(pred.TimeHi)-1]
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return &CellResponse{APIVersion: APIVersion, Cell: cell}, nil
 }
 
-// runPlanCell executes one cell through the planner. Failures are recorded
-// in the cell, never propagated: one pathological pair must not sink the
-// matrix.
-func (s *Service) runPlanCell(ctx context.Context, pc planCell) SweepCell {
-	cell := SweepCell{
-		Workload:    pc.workload,
-		Machine:     pc.mach.Name,
-		MeasCores:   pc.measCores,
-		TargetCores: pc.mach.NumCores(),
-	}
-	pred, hit, err := s.predicted(ctx, pc.w, pc.mach, pc.measCores, pc.scale, pc.targets, pc.opt)
-	cell.CacheHit = hit
+// runCell is the service's own CellRunner: Cell.
+func (s *Service) runCell(ctx context.Context, job CellJob) (SweepCell, error) {
+	resp, err := s.Cell(ctx, job.Req)
 	if err != nil {
-		cell.Error = err.Error()
-		return cell
+		return SweepCell{}, err
 	}
-	cell.Stop = pred.ScalingStop()
-	cell.TimeFull = pred.Time[len(pred.Time)-1]
-	if pred.TimeLo != nil {
-		cell.TimeLo = pred.TimeLo[len(pred.TimeLo)-1]
-		cell.TimeHi = pred.TimeHi[len(pred.TimeHi)-1]
+	return resp.Cell, nil
+}
+
+// runCells executes cells through run across a pool of workers and calls
+// emit, on the caller's goroutine, with each finished cell strictly in
+// slice order: a cell is emitted only after every earlier one, so the
+// output is deterministic for any completion order. A runner error becomes
+// the cell's Error. An emit error stops dispatch and is returned;
+// cancelling ctx stops emission and returns ctx.Err().
+func runCells(ctx context.Context, cells []planCell, workers int, run CellRunner, emit func(SweepCell) error) error {
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	out := make([]SweepCell, len(cells))
+	done := make([]chan struct{}, len(cells))
+	for i := range done {
+		done[i] = make(chan struct{})
 	}
-	return cell
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		// The pool's own error is cctx's; the emit loop reports it.
+		pool.Run(cctx, len(cells), workers, nil, func(_, i int) {
+			c, err := run(cctx, cells[i].CellJob)
+			if err != nil {
+				c = cells[i].errorCell(err)
+			}
+			out[i] = c
+			close(done[i])
+		})
+	}()
+	var emitErr error
+	for i := 0; i < len(cells) && emitErr == nil; i++ {
+		select {
+		case <-done[i]:
+			if emitErr = cctx.Err(); emitErr == nil {
+				emitErr = emit(out[i])
+			}
+		case <-cctx.Done():
+			emitErr = cctx.Err()
+		}
+	}
+	cancel()
+	<-drained
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return emitErr
 }
 
 // SweepStream answers a SweepRequest incrementally: emit is called once per
@@ -492,74 +504,33 @@ func (s *Service) runPlanCell(ctx context.Context, pc planCell) SweepCell {
 // sweep and is returned. Sweep is this method buffered; the HTTP layer
 // streams it as NDJSON and the CLI as `-format ndjson`.
 func (s *Service) SweepStream(ctx context.Context, req SweepRequest, emit func(SweepCell) error) (*SweepSummary, error) {
+	return s.SweepStreamWith(ctx, req, s.runCell, emit)
+}
+
+// SweepStreamWith is SweepStream with a pluggable CellRunner — the seam the
+// cluster coordinator uses to keep planning, ordering and the summary in
+// exactly one place while substituting its fleet fan-out for cell
+// execution.
+func (s *Service) SweepStreamWith(ctx context.Context, req SweepRequest, run CellRunner, emit func(SweepCell) error) (*SweepSummary, error) {
 	plan, err := s.planSweep(req)
 	if err != nil {
 		return nil, err
 	}
-	n := len(plan.cells)
-	cells := make([]SweepCell, n)
-	done := make([]chan struct{}, n)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-
-	// cctx stops the dispatcher and drains the workers when the emitter
-	// gives up (client gone) or the sweep context dies.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < plan.workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				cells[idx] = s.runPlanCell(cctx, plan.cells[idx])
-				close(done[idx])
-			}
-		}()
-	}
-	go func() {
-		defer close(next)
-		for idx := range plan.cells {
-			select {
-			case next <- idx:
-			case <-cctx.Done():
-				return
-			}
-		}
-	}()
-
-	var emitErr error
-	for i := 0; i < n && emitErr == nil; i++ {
-		select {
-		case <-done[i]:
-			emitErr = emit(cells[i])
-		case <-cctx.Done():
-			emitErr = cctx.Err()
-		}
-	}
-	cancel()
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if emitErr != nil {
-		return nil, emitErr
-	}
-
 	sum := &SweepSummary{
 		APIVersion:     APIVersion,
 		Workloads:      plan.workloads,
 		Machines:       plan.machineNames,
-		Cells:          n,
+		Cells:          len(plan.cells),
 		DistinctSeries: plan.distinctSeries,
 		DistinctFits:   plan.distinctFits,
 	}
-	for _, c := range cells {
+	if err := runCells(ctx, plan.cells, plan.workers, run, func(c SweepCell) error {
 		if c.Error != "" {
 			sum.Failures++
 		}
+		return emit(c)
+	}); err != nil {
+		return nil, err
 	}
 	return sum, nil
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -334,29 +333,6 @@ func TestSweepStreamMatchesBufferedSweep(t *testing.T) {
 	}
 	if sum.Failures != 0 || !reflect.DeepEqual(sum.Workloads, req.Workloads) {
 		t.Errorf("summary metadata: %+v", sum)
-	}
-}
-
-// TestSweepStreamEmitErrorAborts: an emit failure (a gone client) stops the
-// sweep promptly and surfaces the error.
-func TestSweepStreamEmitErrorAborts(t *testing.T) {
-	svc := newTestService(t, Config{})
-	req := SweepRequest{
-		Workloads: []string{"intruder", "genome", "kmeans"},
-		Machines:  []string{"Haswell"},
-		Scale:     0.05,
-	}
-	calls := 0
-	wantErr := context.DeadlineExceeded // any sentinel will do
-	_, err := svc.SweepStream(bg, req, func(SweepCell) error {
-		calls++
-		return wantErr
-	})
-	if err != wantErr {
-		t.Errorf("SweepStream error = %v, want the emit error", err)
-	}
-	if calls != 1 {
-		t.Errorf("emit ran %d times after failing, want 1", calls)
 	}
 }
 

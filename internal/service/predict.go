@@ -166,8 +166,13 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 // index, so the response order is the deterministic workload × machine
 // order, not completion order. Sweep is SweepStream buffered.
 func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
+	return bufferSweep(ctx, req, s.SweepStream)
+}
+
+// bufferSweep collects a streaming sweep into the plain response.
+func bufferSweep(ctx context.Context, req SweepRequest, stream func(context.Context, SweepRequest, func(SweepCell) error) (*SweepSummary, error)) (*SweepResponse, error) {
 	var cells []SweepCell
-	sum, err := s.SweepStream(ctx, req, func(c SweepCell) error {
+	sum, err := stream(ctx, req, func(c SweepCell) error {
 		cells = append(cells, c)
 		return nil
 	})

@@ -3,11 +3,11 @@ package service
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"repro/internal/counters"
 	"repro/internal/flight"
 	"repro/internal/machine"
+	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -21,10 +21,11 @@ type Config struct {
 	// series in an internal/store cache there, so repeated requests across
 	// processes replay measurements instead of re-simulating.
 	CacheDir string
-	// Workers bounds concurrent simulations service-wide and is the default
-	// worker count of each prediction's fitting/bootstrap pools. 0 means
-	// runtime.GOMAXPROCS(0), the bound sim.CollectSeries and internal/pool
-	// use too.
+	// Workers bounds concurrent simulations service-wide, is the default
+	// worker count of each prediction's fitting/bootstrap pools, and caps
+	// the cell pool of every sweep and explore (a request may narrow it,
+	// never widen it). 0 means runtime.GOMAXPROCS(0), the width
+	// internal/pool defaults to as well.
 	Workers int
 	// CollectSample overrides the per-sample measurement collector, a seam
 	// for tests and benchmarks (perfbench and the experiment harness count
@@ -196,29 +197,20 @@ func windowSeries(parent *counters.Series, maxCores int) *counters.Series {
 // collect runs one measurement per core count across the service-wide
 // simulation semaphore. Samples land at their schedule index, so the
 // resulting series is deterministic for any concurrency.
+//
+// The pool is one worker per core count (the schedule is bounded by the
+// machine's cores), and the semaphore alone sets how many simulate at
+// once. A Config.Workers-wide pool of long-lived workers simulates no
+// faster, but it made sim.Collect allocate fresh engine state from its
+// sync.Pool more often and raised perfbench's peak RSS by 25-45%.
 func (s *Service) collect(ctx context.Context, w sim.Workload, m *machine.Config, cores []int, scale float64) (*counters.Series, error) {
 	samples := make([]counters.Sample, len(cores))
 	errs := make([]error, len(cores))
-	var wg sync.WaitGroup
-	for i, c := range cores {
-		wg.Add(1)
-		go func(i, c int) {
-			defer wg.Done()
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			defer func() { <-s.sem }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			samples[i], errs[i] = s.cfg.CollectSample(w, m, c, scale)
-		}(i, c)
+	if err := pool.Run(ctx, len(cores), len(cores), s.sem, func(_, i int) {
+		samples[i], errs[i] = s.cfg.CollectSample(w, m, cores[i], scale)
+	}); err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

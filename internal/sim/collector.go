@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -94,10 +94,6 @@ func CollectSeries(w Workload, mach *machine.Config, coreCounts []int, scale flo
 	if n == 0 {
 		return s, nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
 	// Workers pick up runs smallest-core-count first: per-thread program
 	// buffers are biggest there and only shrink as core counts grow, so a
 	// recycled buffer always fits the next run and each thread's buffer is
@@ -114,13 +110,13 @@ func CollectSeries(w Workload, mach *machine.Config, coreCounts []int, scale flo
 		}
 		return order[a] < order[b]
 	})
-	states := make([]*collectState, workers)
+	states := make([]*collectState, pool.Width(n, 0))
 	for i := range states {
 		states[i] = statePool.Get().(*collectState)
 	}
 	samples := make([]counters.Sample, n)
 	errs := make([]error, n)
-	pool.ForNWorker(n, workers, func(worker, j int) {
+	pool.Run(context.Background(), n, len(states), nil, func(worker, j int) {
 		i := order[j]
 		samples[i], errs[i] = states[worker].collect(w, mach, coreCounts[i], scale)
 	})
